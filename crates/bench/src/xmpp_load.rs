@@ -54,10 +54,10 @@ pub enum Backend {
     /// In-process simulated TCP with a syscall cost model (default —
     /// deterministic and scalable).
     Sim,
-    /// Real loopback `std::net` sockets, polled by READER/WRITER.
+    /// Real loopback `std::net` sockets behind a polled completion ring.
     Tcp,
-    /// Real loopback sockets with edge-triggered `epoll` readiness
-    /// (Linux only).
+    /// Real loopback sockets behind an edge-triggered `epoll`
+    /// completion ring (Linux only).
     Epoll,
     /// Real loopback sockets driven by an io_uring completion ring
     /// (Linux only, kernel permitting).

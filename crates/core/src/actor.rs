@@ -136,7 +136,6 @@ pub struct Ctx {
     pub(crate) wake: Arc<crate::wake::WakeHub>,
     pub(crate) obs: Arc<obs::ObsHub>,
     pub(crate) placement: Arc<crate::placement::PlacementControl>,
-    pub(crate) idle: crate::config::IdlePolicy,
     /// Shared with the metrics registry as `actor_<name>_executions`; the
     /// registry entry and this handle are the same counter, so reports and
     /// exporters read the value the worker loop increments.
@@ -252,15 +251,6 @@ impl Ctx {
     /// system actors, e.g. syscalls).
     pub fn costs(&self) -> &CostHandle {
         &self.costs
-    }
-
-    /// The deployment's idle policy. System actors that run their own
-    /// blocking waits (the enet READER/WRITER parking inside
-    /// `epoll_wait` / `io_uring_enter`) read
-    /// [`crate::config::IdlePolicy::net_park_cap`] from here instead of
-    /// hard-coding a cap.
-    pub fn idle_policy(&self) -> crate::config::IdlePolicy {
-        self.idle
     }
 
     /// How many times this actor's body has run so far.

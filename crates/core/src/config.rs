@@ -90,16 +90,11 @@ pub struct IdlePolicy {
     pub yield_passes: u32,
     /// Upper bound on one parked sleep. `None` parks until a wake event —
     /// only safe when every input of every actor arrives through an mbox.
-    /// Actors that poll sources the mbox layer cannot see (the enet
-    /// READER and ACCEPTER poll simulated sockets) need the bounded
-    /// default so data arriving without a send still gets served.
+    /// Actors with inputs the mbox layer cannot see (the enet ACCEPTER
+    /// reaps its completion ring without blocking, so a connection that
+    /// arrives while its worker sleeps sends no wake) need the bounded
+    /// default so those inputs still get served.
     pub park_timeout: Option<std::time::Duration>,
-    /// Upper bound on one blocking network wait (`epoll_wait` /
-    /// `io_uring_enter`) by a parked network system actor. Kernel events
-    /// wake those waits directly, so this cap only bounds how long a
-    /// *non-kernel* signal the waker misses can go unserved; lowering it
-    /// trades idle wakeups for worst-case latency on such signals.
-    pub net_park_cap: std::time::Duration,
 }
 
 impl Default for IdlePolicy {
@@ -108,7 +103,6 @@ impl Default for IdlePolicy {
             spin_passes: 64,
             yield_passes: 64,
             park_timeout: Some(std::time::Duration::from_micros(200)),
-            net_park_cap: std::time::Duration::from_millis(5),
         }
     }
 }
@@ -121,7 +115,6 @@ impl IdlePolicy {
             spin_passes: u32::MAX,
             yield_passes: 0,
             park_timeout: None,
-            ..Self::default()
         }
     }
 
@@ -133,15 +126,7 @@ impl IdlePolicy {
             spin_passes: 0,
             yield_passes: 0,
             park_timeout: None,
-            ..Self::default()
         }
-    }
-
-    /// This policy with the network park cap replaced (see
-    /// [`IdlePolicy::net_park_cap`]).
-    pub fn with_net_park_cap(mut self, cap: std::time::Duration) -> Self {
-        self.net_park_cap = cap;
-        self
     }
 }
 

@@ -469,7 +469,6 @@ impl Runtime {
                 wake: Arc::clone(&hub),
                 obs: Arc::clone(&obs_hub),
                 placement: Arc::clone(&placement),
-                idle,
                 executions: registry.counter(&format!("actor_{}_executions", a.name)),
             }));
         }

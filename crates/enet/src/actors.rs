@@ -2,18 +2,21 @@
 //!
 //! Five actors bridge the gap between enclaved application logic and the
 //! kernel's TCP/IP stack: [`Opener`] creates sockets, [`Accepter`] takes
-//! new connections from server sockets, [`Reader`] polls subscribed
-//! sockets and forwards incoming bytes into per-user mboxes, [`Writer`]
-//! transmits, and [`Closer`] tears sockets down. They always run
+//! new connections from server sockets, [`Reader`] keeps a receive in
+//! flight on each subscribed socket and forwards incoming bytes into
+//! per-user mboxes, [`Writer`] transmits, and [`Closer`] tears sockets
+//! down. ACCEPTER, READER and WRITER each drive their own
+//! [`CompletionRing`] — whatever the backend — so each has one body with
+//! no per-backend branch. They always run
 //! untrusted (the backend enforces it); application eactors talk to them
 //! exclusively through typed [`Port`]s carrying [`NetMsg`], so an
 //! enclaved actor gets network I/O without a single execution-mode
 //! transition — and without a single heap allocation per message:
 //!
 //! * the READER receives straight into a node buffer of the reply mbox
-//!   (the `Data` header is written first, the kernel fills the rest);
-//! * the WRITER parks partially transmitted **nodes**, not copied bytes,
-//!   so back-pressure costs no allocation either;
+//!   (the `Data` header is written first, the ring fills the rest);
+//! * the WRITER hands **nodes** to its ring and parks queued nodes, not
+//!   copied bytes, so back-pressure costs no allocation either;
 //! * every drop (full mbox, exhausted pool) and every undecodable frame
 //!   is counted in the ports' [`PortStats`], aggregated by
 //!   [`SystemActors::stats`].
@@ -28,36 +31,21 @@ use eactors::arena::{Mbox, Node};
 use eactors::obs::Counter;
 use eactors::wire::{Port, PortStats, Wire};
 
-use crate::backend::{
-    Completion, CompletionRing, Interest, ListenerId, NetBackend, NetError, ReadyEvent, ReadySet,
-    RecvOutcome, SocketId,
-};
+use crate::backend::{Completion, CompletionRing, ListenerId, NetBackend, NetError, SocketId};
 use crate::dir::{MboxDirectory, MboxRef};
 use crate::msg::{tag, NetMsg, DATA_HEADER};
 
-/// Consecutive empty passes before a readiness- or completion-mode
-/// READER/WRITER blocks in its kernel wait instead of returning
-/// immediately.
+/// Consecutive empty passes before a READER/WRITER blocks in its ring's
+/// reap instead of returning immediately.
 const IDLE_STREAK_PARK: u32 = 64;
-/// Default upper bound on one blocking network wait (`wait_ready` /
-/// `reap`), used until the actor's ctor reads the deployment's
-/// [`eactors::config::IdlePolicy::net_park_cap`]. Socket events and the
-/// hub-registered eventfd waker both end the sleep early; the cap only
-/// bounds wake-ups from threads outside the runtime (which do not
-/// notify the hub).
+/// Upper bound on one blocking ring wait by a parked READER/WRITER.
+/// Socket events and the hub-registered waker both end the sleep early;
+/// the cap only bounds wake-ups from threads outside the runtime (which
+/// do not notify the hub). A polled ring sleeps at most 200 µs anyway.
 const PARK_TIMEOUT: Duration = Duration::from_millis(5);
-/// Readiness events collected per pass.
-const EVENT_BATCH: usize = 64;
-/// Nodes received from one ready socket in one pass before it is
-/// re-queued behind its peers (firehose fairness).
-const READ_BUDGET: usize = 32;
-/// Parked (partially written) nodes per socket before further writes to
-/// it are dropped and counted rather than queued without bound.
+/// Parked nodes per socket before further writes to it are dropped and
+/// counted rather than queued without bound.
 const PENDING_CAP: usize = 1024;
-
-fn event_buf() -> Vec<ReadyEvent> {
-    vec![ReadyEvent::default(); EVENT_BATCH]
-}
 
 /// The typed port all networking traffic flows through: a
 /// [`Port`] carrying [`NetMsg`] frames.
@@ -201,38 +189,28 @@ impl Actor for Opener {
 struct AcceptWatch {
     listener: u64,
     reply: MboxRef,
-    /// In readiness mode: an accept-edge fired (or the watch is new) and
-    /// the backlog has not been drained since.
-    ready: bool,
 }
 
-/// The ACCEPTER: polls watched server sockets and announces new
-/// connections.
+/// The ACCEPTER: announces new connections on watched server sockets.
 ///
-/// In completion mode (a backend with [`NetBackend::completion_ring`])
-/// each watched listener is armed as a multishot accept in the ring and
-/// connections arrive pre-accepted as [`Completion::Accepted`] — zero
-/// `accept4` syscalls on this thread. In readiness mode each pass
-/// drains only the listeners whose accept-edge fired, looping each
-/// backlog until empty; with a polling backend every watched listener
-/// is tried every pass.
+/// Each watched listener is armed as an accept in the ACCEPTER's
+/// [`CompletionRing`] (multishot under io_uring) and connections arrive
+/// pre-accepted as [`Completion::Accepted`]. The ACCEPTER never blocks
+/// in its ring: it shares its worker with OPENER and CLOSER.
 pub struct Accepter {
     net: Arc<dyn NetBackend>,
     requests: NetPort,
     dir: Arc<MboxDirectory>,
     replies: Arc<PortStats>,
     watches: Vec<AcceptWatch>,
-    ready: Option<Box<dyn ReadySet>>,
-    cring: Option<Box<dyn CompletionRing>>,
+    ring: Box<dyn CompletionRing>,
     completions: Vec<Completion>,
-    events: Vec<ReadyEvent>,
 }
 
 impl std::fmt::Debug for Accepter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Accepter")
             .field("watches", &self.watches.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -245,32 +223,21 @@ impl Accepter {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
         Accepter {
+            ring: net.completion_ring(),
             net,
             requests,
             dir,
             replies,
             watches: Vec::new(),
-            ready,
-            cring,
             completions: Vec::new(),
-            events: event_buf(),
         }
     }
 
-    /// Completion-mode pass: reap accepted connections from the ring and
-    /// forward them; drop watches whose subscriber vanished.
+    /// Reap accepted connections from the ring and forward them; drop
+    /// watches whose subscriber vanished.
     fn service_ring(&mut self) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        let _ = ring.reap(&mut self.completions, Some(Duration::ZERO));
+        let _ = self.ring.reap(&mut self.completions, Some(Duration::ZERO));
         let mut worked = false;
         for c in self.completions.drain(..) {
             match c {
@@ -301,7 +268,7 @@ impl Accepter {
             }
         }
         // Cancel watches whose reply mbox was dropped.
-        let dir = &self.dir;
+        let (dir, ring) = (&self.dir, &mut self.ring);
         self.watches.retain(|w| {
             if dir.get(w.reply).is_some() {
                 true
@@ -316,95 +283,26 @@ impl Accepter {
 
 impl Actor for Accepter {
     fn ctor(&mut self, ctx: &mut Ctx) {
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-        }
+        self.ring.bind_obs(ctx.obs_hub().registry());
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let Accepter {
             requests,
             watches,
-            ready,
-            cring,
-            events,
+            ring,
             ..
         } = self;
         let mut worked = requests.drain(|msg| {
             if let NetMsg::WatchListener { listener, reply } = msg {
-                if let Some(ring) = cring.as_deref_mut() {
-                    // Arm the (multishot) accept; failures surface as
-                    // AcceptFailed completions.
-                    let _ = ring.accept(ListenerId(listener));
-                } else if let Some(set) = ready.as_deref_mut() {
-                    // Errors surface as accept failures below.
-                    let _ = set.watch_listener(ListenerId(listener));
+                // An unknown listener is not watched; later failures
+                // surface as AcceptFailed completions.
+                if ring.accept(ListenerId(listener)).is_ok() {
+                    watches.push(AcceptWatch { listener, reply });
                 }
-                watches.push(AcceptWatch {
-                    listener,
-                    reply,
-                    ready: true,
-                });
             }
         }) > 0;
-        if self.cring.is_some() {
-            // Completion mode: connections arrive pre-accepted from the
-            // ring; the polled accept loop below never runs.
-            worked |= self.service_ring();
-            return if worked { Control::Busy } else { Control::Idle };
-        }
-        // Collect accept-edges without blocking (the ACCEPTER shares its
-        // worker with OPENER/CLOSER, so it never sleeps in wait_ready).
-        if let Some(set) = ready.as_deref_mut() {
-            if let Ok(n) = set.wait_ready(events, Some(Duration::ZERO)) {
-                for ev in &events[..n] {
-                    if ev.listener {
-                        for w in watches.iter_mut() {
-                            if w.listener == ev.id {
-                                w.ready = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let readiness = self.ready.is_some();
-        let replies = &self.replies;
-        self.watches.retain_mut(|w| {
-            let Some(mbox) = self.dir.get(w.reply) else {
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch_listener(ListenerId(w.listener));
-                }
-                return false;
-            };
-            if readiness && !w.ready {
-                return true;
-            }
-            loop {
-                match self.net.accept(ListenerId(w.listener)) {
-                    Ok(Some(SocketId(socket))) => {
-                        worked = true;
-                        let listener = w.listener;
-                        if !send_msg(&mbox, &NetMsg::Accepted { listener, socket }, replies) {
-                            // Reply mbox congested: the connection stays in
-                            // our hands; close it rather than leak it.
-                            let _ = self.net.close(SocketId(socket));
-                        }
-                    }
-                    Ok(None) => {
-                        // Backlog drained: the next edge re-arms us.
-                        w.ready = false;
-                        return true;
-                    }
-                    Err(_) => {
-                        if let Some(set) = self.ready.as_deref_mut() {
-                            set.unwatch_listener(ListenerId(w.listener));
-                        }
-                        return false; // listener closed
-                    }
-                }
-            }
-        });
+        worked |= self.service_ring();
         if worked {
             Control::Busy
         } else {
@@ -413,37 +311,104 @@ impl Actor for Accepter {
     }
 }
 
+/// The completion ring a READER or WRITER drives, with its idle
+/// bookkeeping.
+struct RingState {
+    ring: Box<dyn CompletionRing>,
+    /// Scratch buffer for reaped completions.
+    completions: Vec<Completion>,
+    /// Blocking ring waits taken while parked (`net_park_waits`).
+    park_waits: Arc<Counter>,
+    idle_streak: u32,
+}
+
+impl RingState {
+    fn new(net: &dyn NetBackend) -> Self {
+        RingState {
+            ring: net.completion_ring(),
+            completions: Vec::new(),
+            park_waits: Arc::new(Counter::default()),
+            idle_streak: 0,
+        }
+    }
+
+    /// Bind the ring's counters and hand its waker to the wake hub, so
+    /// message enqueues end a parked reap.
+    fn bind(&mut self, ctx: &mut Ctx) {
+        let registry = ctx.obs_hub().registry();
+        self.park_waits = registry.counter("net_park_waits");
+        self.ring.bind_obs(registry);
+        ctx.wake_hub().register_waker(self.ring.waker());
+    }
+
+    /// Flush submissions and reap completions, waiting up to `timeout`.
+    /// Returns whether anything completed.
+    fn reap(&mut self, timeout: Duration) -> bool {
+        matches!(self.ring.reap(&mut self.completions, Some(timeout)), Ok(n) if n > 0)
+    }
+}
+
+/// The shape READER and WRITER share: non-blocking passes, and after
+/// [`IDLE_STREAK_PARK`] empty ones a park inside the ring's blocking
+/// reap.
+trait RingActor {
+    fn ring(&mut self) -> &mut RingState;
+    /// One non-blocking pass; whether anything happened.
+    fn pass(&mut self) -> bool;
+    /// Take new requests; whether any arrived.
+    fn intake(&mut self) -> bool;
+    /// Act on whatever a park brought in.
+    fn settle(&mut self);
+}
+
+/// Run one [`RingActor`] execution.
+///
+/// The park is the classic eventcount handshake: register as a hub
+/// sleeper, re-poll the request mbox, then sleep in the ring. A send
+/// after the re-poll notifies the hub, which fires the ring's waker and
+/// ends the wait. The actor always reports [`Control::Busy`]: ring
+/// completions cannot wake the worker's condvar park.
+fn drive(actor: &mut impl RingActor, ctx: &mut Ctx) -> Control {
+    if actor.pass() {
+        actor.ring().idle_streak = 0;
+        return Control::Busy;
+    }
+    actor.ring().idle_streak += 1;
+    if actor.ring().idle_streak >= IDLE_STREAK_PARK {
+        let hub = ctx.wake_hub().clone();
+        let _seen = hub.prepare_park();
+        if !actor.intake() {
+            let ring = actor.ring();
+            ring.park_waits.inc();
+            ring.reap(PARK_TIMEOUT);
+        }
+        hub.cancel_park();
+        actor.settle();
+        actor.ring().idle_streak = 0;
+    }
+    Control::Busy
+}
+
 struct ReadWatch {
     reply: MboxRef,
-    /// Readiness mode: the socket sits in `ready_queue` (or must be
-    /// re-queued); cleared when a drain hits `WouldBlock`. Completion
-    /// mode reuses the flag for the arm queue (a submission is owed).
+    /// The socket sits in the arm queue (a submission is owed).
     queued: bool,
-    /// Completion mode: a receive is in flight in the ring.
+    /// A receive is in flight in the ring.
     inflight: bool,
-    /// Completion mode: `Unwatch` arrived while a receive was in
-    /// flight; the ack is deferred until that completion lands so the
-    /// subscriber keeps the Data-before-Unwatched ordering.
+    /// `Unwatch` arrived while a receive was in flight; the ack is
+    /// deferred until that completion lands so the subscriber keeps the
+    /// Data-before-Unwatched ordering.
     draining: bool,
 }
 
-/// Subscribe `socket` (shared by `WatchSocket` and `WatchBatch`).
-///
-/// A new watch always starts queued-ready: in readiness mode the first
-/// pass drains it until `WouldBlock`, which makes any edge that fired
-/// before the watch existed harmless.
+/// Subscribe `socket` (shared by `WatchSocket` and `WatchBatch`); a new
+/// watch is queued for its first receive.
 fn add_read_watch(
     watches: &mut HashMap<u64, ReadWatch>,
-    ready: &mut Option<Box<dyn ReadySet>>,
-    ready_queue: &mut VecDeque<u64>,
+    arm_queue: &mut VecDeque<u64>,
     socket: u64,
     reply: MboxRef,
 ) {
-    if let Some(set) = ready.as_deref_mut() {
-        // A failed watch (socket already gone) still gets an entry: the
-        // first drain observes the error and reports `SocketClosed`.
-        let _ = set.watch(SocketId(socket), Interest::Read);
-    }
     let entry = watches.entry(socket).or_insert(ReadWatch {
         reply,
         queued: false,
@@ -456,7 +421,7 @@ fn add_read_watch(
     entry.draining = false;
     if !entry.queued {
         entry.queued = true;
-        ready_queue.push_back(socket);
+        arm_queue.push_back(socket);
     }
 }
 
@@ -466,31 +431,23 @@ fn add_read_watch(
 /// its clients with one `WatchBatch` (or one `WatchSocket` each).
 ///
 /// Zero-copy receive path: a node is popped from the reply mbox's arena,
-/// the `Data` header written into it, and the kernel reads **directly
-/// into the node payload** — the application then decodes the payload in
-/// place. No intermediate buffer exists anywhere on the path.
+/// the `Data` header written into it, and the receive is submitted to
+/// the READER's [`CompletionRing`] aimed **directly at the node
+/// payload** — the completion hands back a finished frame that the
+/// application decodes in place. One receive is in flight per watched
+/// socket; each completion is delivered and the socket re-armed.
 ///
-/// # Polling vs. readiness
-///
-/// With a polling backend every watched socket takes one `recv` per
-/// pass. When the backend provides a [`NetBackend::ready_set`], the
-/// READER instead drives edge-triggered readiness events: only sockets
-/// whose edge fired are drained (until `WouldBlock`, with a per-pass
-/// fairness budget), and after [`IDLE_STREAK_PARK`] empty passes the
-/// READER *parks inside* [`ReadySet::wait_ready`] — registered as a hub
-/// sleeper, with the set's eventfd waker ending the sleep on any mbox
-/// enqueue. The epoll sleep replaces the worker's condvar park, so the
-/// actor always reports [`Control::Busy`] in readiness mode (a
-/// condvar-parked worker could not be woken by socket edges).
+/// After a streak of empty passes the READER parks *inside* the
+/// ring's blocking reap, registered as a hub sleeper so any mbox enqueue
+/// ends the sleep.
 ///
 /// # Backpressure
 ///
-/// A socket whose reply mbox has no free node (or rejects the send)
-/// stays in the ready queue and is retried next pass — TCP bytes are
-/// never discarded once read. Failed deliveries of already-read frames
-/// are counted in `net_dropped_reads` (see [`Reader::bind_obs`]).
+/// A socket whose reply pool has no free node stays in the arm queue and
+/// is retried next pass — TCP bytes are never discarded once read.
+/// Failed deliveries of already-read frames are counted in
+/// `net_dropped_reads` (see [`Reader::bind_obs`]).
 pub struct Reader {
-    net: Arc<dyn NetBackend>,
     requests: NetPort,
     dir: Arc<MboxDirectory>,
     replies: Arc<PortStats>,
@@ -498,29 +455,19 @@ pub struct Reader {
     /// `Unwatched` acks still owed; retried when the reply mbox is
     /// congested so the confirmation can never be lost.
     acks: Vec<(u64, MboxRef)>,
-    ready: Option<Box<dyn ReadySet>>,
-    cring: Option<Box<dyn CompletionRing>>,
-    completions: Vec<Completion>,
-    /// Sockets with an un-drained edge, serviced round-robin. In
-    /// completion mode: sockets owing a receive submission (new watches,
-    /// starved re-arms, just-delivered completions).
-    ready_queue: VecDeque<u64>,
-    events: Vec<ReadyEvent>,
+    ring: RingState,
+    /// Sockets owing a receive submission: new watches, starved re-arms,
+    /// just-delivered completions.
+    arm_queue: VecDeque<u64>,
     /// Data frames read from a socket but undeliverable to the reply
     /// mbox (mbox full after the node was filled).
     dropped: Arc<Counter>,
-    /// Blocking kernel waits taken while parked (`net_park_waits`).
-    park_waits: Arc<Counter>,
-    /// Cap on one blocking wait; from `IdlePolicy::net_park_cap`.
-    park_cap: Duration,
-    idle_streak: u32,
 }
 
 impl std::fmt::Debug for Reader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reader")
             .field("watches", &self.watches.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -534,28 +481,15 @@ impl Reader {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
         Reader {
-            net,
             requests,
             dir,
             replies,
             watches: HashMap::new(),
             acks: Vec::new(),
-            ready,
-            cring,
-            completions: Vec::new(),
-            ready_queue: VecDeque::new(),
-            events: event_buf(),
+            ring: RingState::new(net.as_ref()),
+            arm_queue: VecDeque::new(),
             dropped: Arc::new(Counter::default()),
-            park_waits: Arc::new(Counter::default()),
-            park_cap: PARK_TIMEOUT,
-            idle_streak: 0,
         }
     }
 
@@ -570,44 +504,35 @@ impl Reader {
             requests,
             watches,
             acks,
-            ready,
-            cring,
-            ready_queue,
+            ring,
+            arm_queue,
             ..
         } = self;
         requests.drain(|msg| match msg {
             NetMsg::WatchSocket { socket, reply } => {
-                add_read_watch(watches, ready, ready_queue, socket, reply);
+                add_read_watch(watches, arm_queue, socket, reply);
             }
+            // The paper's batch request: one message subscribes a whole
+            // private client list.
             NetMsg::WatchBatch { entries } => {
-                // The paper's batch request: one message subscribes a
-                // whole private client list.
                 for (socket, reply) in entries.iter() {
-                    add_read_watch(watches, ready, ready_queue, socket, reply);
+                    add_read_watch(watches, arm_queue, socket, reply);
                 }
             }
             NetMsg::Unwatch { socket } => {
-                // Ack the watch actually removed, to the mbox the watch
-                // named. Any bytes the socket produced were delivered in
-                // earlier passes, so FIFO on the reply mbox gives the
-                // subscriber a hard Data-before-Unwatched ordering.
-                if let Some(ring) = cring.as_deref_mut() {
-                    // Completion mode: an in-flight receive may still
-                    // surface data; defer the ack until it lands.
-                    if let Some(w) = watches.get_mut(&socket) {
-                        if w.inflight {
-                            w.draining = true;
-                            ring.cancel_recv(SocketId(socket));
-                        } else {
-                            let reply = w.reply;
-                            watches.remove(&socket);
-                            acks.push((socket, reply));
-                        }
-                    }
-                } else if let Some(w) = watches.remove(&socket) {
-                    acks.push((socket, w.reply));
-                    if let Some(set) = ready.as_deref_mut() {
-                        set.unwatch(SocketId(socket));
+                // Cancelling also lets the ring stop watching the
+                // socket. Ack the watch actually removed, to the mbox the
+                // watch named. An in-flight receive may still surface
+                // data, so its ack waits for the completion: FIFO on the
+                // reply mbox gives the subscriber a hard
+                // Data-before-Unwatched ordering.
+                ring.ring.cancel_recv(SocketId(socket));
+                if let Some(w) = watches.get_mut(&socket) {
+                    if w.inflight {
+                        w.draining = true;
+                    } else {
+                        acks.push((socket, w.reply));
+                        watches.remove(&socket);
                     }
                 }
             }
@@ -627,183 +552,22 @@ impl Reader {
         true
     }
 
-    /// Collect readiness events (readiness mode only), enqueueing each
-    /// not-yet-queued socket. Returns whether any event arrived.
-    fn collect_events(&mut self, timeout: Option<Duration>) -> bool {
-        let Some(set) = self.ready.as_deref_mut() else {
-            return false;
-        };
-        let Ok(n) = set.wait_ready(&mut self.events, timeout) else {
-            return false;
-        };
-        for ev in &self.events[..n] {
-            if ev.listener {
-                continue;
-            }
-            if let Some(w) = self.watches.get_mut(&ev.id) {
-                if !w.queued {
-                    w.queued = true;
-                    self.ready_queue.push_back(ev.id);
-                }
-            }
-        }
-        n > 0
-    }
-
-    /// Drain every currently-queued socket once (readiness mode).
-    fn service_ready(&mut self) -> bool {
-        let mut worked = false;
-        let rounds = self.ready_queue.len();
-        for _ in 0..rounds {
-            let Some(socket) = self.ready_queue.pop_front() else {
-                break;
-            };
-            let Some(w) = self.watches.get_mut(&socket) else {
-                continue; // unwatched while queued
-            };
-            let Some(mbox) = self.dir.get(w.reply) else {
-                self.watches.remove(&socket);
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch(SocketId(socket));
-                }
-                continue;
-            };
-            if mbox.arena().payload_size() <= DATA_HEADER {
-                self.watches.remove(&socket);
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch(SocketId(socket));
-                }
-                continue;
-            }
-            let mut budget = READ_BUDGET;
-            let outcome = loop {
-                if budget == 0 {
-                    break SocketPass::Requeue;
-                }
-                budget -= 1;
-                // Receive directly into a node of the reply mbox: header
-                // first, then the kernel fills the rest of the payload.
-                let Some(mut node) = mbox.arena().try_pop() else {
-                    // Back-pressure: the application owns every node
-                    // right now. The socket stays queued — its bytes
-                    // are in the kernel, not droppable.
-                    break SocketPass::Requeue;
-                };
-                let buf = node.buffer_mut();
-                buf[0] = tag::DATA;
-                buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-                match self.net.recv(SocketId(socket), &mut buf[DATA_HEADER..]) {
-                    Ok(RecvOutcome::Data(n)) => {
-                        worked = true;
-                        node.set_len(DATA_HEADER + n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
-                    }
-                    Ok(RecvOutcome::WouldBlock) => break SocketPass::Drained,
-                    Ok(RecvOutcome::Eof) | Err(_) => {
-                        worked = true;
-                        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                        node.set_len(n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
-                        break SocketPass::Closed;
-                    }
-                }
-            };
-            match outcome {
-                SocketPass::Requeue => self.ready_queue.push_back(socket),
-                SocketPass::Drained => {
-                    if let Some(w) = self.watches.get_mut(&socket) {
-                        w.queued = false;
-                    }
-                }
-                SocketPass::Closed => {
-                    self.watches.remove(&socket);
-                    if let Some(set) = self.ready.as_deref_mut() {
-                        set.unwatch(SocketId(socket));
-                    }
-                }
-            }
-        }
-        worked
-    }
-
-    /// One poll-mode pass: one `recv` attempt per watched socket.
-    fn service_polling(&mut self) -> bool {
-        let mut worked = false;
-        let (net, dir, replies, dropped) = (&self.net, &self.dir, &self.replies, &self.dropped);
-        self.watches.retain(|&socket, w| {
-            let Some(mbox) = dir.get(w.reply) else {
-                return false;
-            };
-            if mbox.arena().payload_size() <= DATA_HEADER {
-                return false;
-            }
-            let Some(mut node) = mbox.arena().try_pop() else {
-                // Back-pressure: poll again once the application has
-                // recycled some nodes.
-                return true;
-            };
-            let buf = node.buffer_mut();
-            buf[0] = tag::DATA;
-            buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-            match net.recv(SocketId(socket), &mut buf[DATA_HEADER..]) {
-                Ok(RecvOutcome::Data(n)) => {
-                    worked = true;
-                    node.set_len(DATA_HEADER + n);
-                    if mbox.send(node).is_err() {
-                        replies.note_send_drop();
-                        dropped.inc();
-                    }
-                    true
-                }
-                Ok(RecvOutcome::WouldBlock) => true, // node returns to the pool
-                Ok(RecvOutcome::Eof) | Err(_) => {
-                    worked = true;
-                    let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                    node.set_len(n);
-                    if mbox.send(node).is_err() {
-                        replies.note_send_drop();
-                        dropped.inc();
-                    }
-                    false
-                }
-            }
-        });
-        worked
-    }
-
-    /// Flush pending submissions and reap completions (completion
-    /// mode) — at most one syscall. Returns whether anything completed.
-    fn reap_ring(&mut self, timeout: Option<Duration>) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        matches!(ring.reap(&mut self.completions, timeout), Ok(n) if n > 0)
-    }
-
-    /// Queue `socket` for a receive submission (completion mode).
+    /// Queue `socket` for a receive submission.
     fn requeue(&mut self, socket: u64) {
         if let Some(w) = self.watches.get_mut(&socket) {
             if !w.queued {
                 w.queued = true;
-                self.ready_queue.push_back(socket);
+                self.arm_queue.push_back(socket);
             }
         }
     }
 
-    /// Submit receives for every socket in the arm queue (completion
-    /// mode): new watches, starved retries, and sockets whose previous
-    /// completion was just delivered. Starved sockets stay queued.
+    /// Submit receives for every socket in the arm queue. Starved
+    /// sockets stay queued.
     fn service_arm(&mut self) -> bool {
         let mut worked = false;
-        let rounds = self.ready_queue.len();
-        for _ in 0..rounds {
-            let Some(socket) = self.ready_queue.pop_front() else {
+        for _ in 0..self.arm_queue.len() {
+            let Some(socket) = self.arm_queue.pop_front() else {
                 break;
             };
             match self.try_arm(socket) {
@@ -814,7 +578,7 @@ impl Reader {
                 }
                 // Back-pressure: every node is checked out; retry once
                 // the application recycles some.
-                ArmOutcome::Starved => self.ready_queue.push_back(socket),
+                ArmOutcome::Starved => self.arm_queue.push_back(socket),
                 ArmOutcome::Removed => worked = true,
             }
         }
@@ -844,37 +608,43 @@ impl Reader {
         let buf = node.buffer_mut();
         buf[0] = tag::DATA;
         buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return ArmOutcome::Removed;
-        };
-        match ring.recv_into(SocketId(socket), node, DATA_HEADER) {
+        match self
+            .ring
+            .ring
+            .recv_into(SocketId(socket), node, DATA_HEADER)
+        {
             Ok(()) => {
                 w.inflight = true;
                 ArmOutcome::Armed
             }
             // A receive is somehow already in flight; treat as armed.
             Err((NetError::WouldBlock, _node)) => ArmOutcome::Armed,
-            Err((_, mut node)) => {
+            Err((_, node)) => {
                 // Unknown or dead socket: report closure with the node
                 // already in hand.
-                let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                node.set_len(n);
-                if mbox.send(node).is_err() {
-                    self.replies.note_send_drop();
-                    self.dropped.inc();
-                }
                 self.watches.remove(&socket);
+                self.deliver_closed(&mbox, socket, node);
                 ArmOutcome::Removed
             }
         }
     }
 
-    /// Deliver reaped receive completions (completion mode): data frames
-    /// forwarded in place, EOF/errors become `SocketClosed`, drained
-    /// unwatches get their deferred ack.
+    /// Tell the subscriber `socket` is gone, reusing `node` for the frame.
+    fn deliver_closed(&self, mbox: &Mbox, socket: u64, mut node: Node) {
+        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
+        node.set_len(n);
+        if mbox.send(node).is_err() {
+            self.replies.note_send_drop();
+            self.dropped.inc();
+        }
+    }
+
+    /// Deliver reaped receive completions: data frames forwarded in
+    /// place, EOF/errors become `SocketClosed`, drained unwatches get
+    /// their deferred ack.
     fn service_completions(&mut self) -> bool {
         let mut worked = false;
-        let mut comps = std::mem::take(&mut self.completions);
+        let mut comps = std::mem::take(&mut self.ring.completions);
         for c in comps.drain(..) {
             let Completion::Recv {
                 socket,
@@ -915,29 +685,24 @@ impl Reader {
                 }
                 // Our own cancel raced a re-watch: the subscription is
                 // live again, just re-arm.
-                Err(ref e) if !draining && is_canceled(e) => self.requeue(socket),
+                Err(NetError::Canceled) if !draining => self.requeue(socket),
                 Ok(_) | Err(_) => {
                     // EOF or socket error.
                     self.watches.remove(&socket);
                     if draining {
                         self.acks.push((socket, reply));
                     } else if let Some(mbox) = self.dir.get(reply) {
-                        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                        node.set_len(n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
+                        self.deliver_closed(&mbox, socket, node);
                     }
                 }
             }
         }
-        self.completions = comps; // keep the allocation
+        self.ring.completions = comps; // keep the allocation
         worked
     }
 }
 
-/// Completion-mode outcome of one [`Reader::try_arm`].
+/// Outcome of one [`Reader::try_arm`].
 enum ArmOutcome {
     /// A receive is (now) in flight.
     Armed,
@@ -947,20 +712,33 @@ enum ArmOutcome {
     Removed,
 }
 
-/// Whether `e` is the `-ECANCELED` produced by our own
-/// [`CompletionRing::cancel_recv`].
-fn is_canceled(e: &NetError) -> bool {
-    const ECANCELED: i32 = 125;
-    matches!(e, NetError::Io(io) if io.raw_os_error() == Some(ECANCELED))
-}
+impl RingActor for Reader {
+    fn ring(&mut self) -> &mut RingState {
+        &mut self.ring
+    }
 
-enum SocketPass {
-    /// Budget or nodes ran out with bytes likely left; stay queued.
-    Requeue,
-    /// `WouldBlock`: the edge is consumed, wait for the next one.
-    Drained,
-    /// EOF or error: watch removed, `SocketClosed` sent.
-    Closed,
+    /// Owed acks count as work (`flush_acks`), so the READER never
+    /// parks with one outstanding.
+    fn pass(&mut self) -> bool {
+        let mut worked = self.drain_requests();
+        worked |= self.flush_acks();
+        worked |= self.service_arm();
+        worked |= self.ring.reap(Duration::ZERO);
+        worked |= self.service_completions();
+        worked |= self.service_arm();
+        // Starved sockets keep the actor hot: back-pressure resolves by
+        // nodes recycling, which no ring wait can observe.
+        worked || !self.arm_queue.is_empty()
+    }
+
+    fn intake(&mut self) -> bool {
+        self.drain_requests()
+    }
+
+    fn settle(&mut self) {
+        self.service_completions();
+        self.service_arm();
+    }
 }
 
 impl Actor for Reader {
@@ -968,151 +746,53 @@ impl Actor for Reader {
         // The registry returns one shared counter per name, so every
         // reader in the deployment increments the same atomic.
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_reads");
-        self.park_waits = ctx.obs_hub().registry().counter("net_park_waits");
-        self.park_cap = ctx.idle_policy().net_park_cap;
-        if let Some(set) = &self.ready {
-            ctx.wake_hub().register_waker(set.waker());
-        }
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-            ctx.wake_hub().register_waker(ring.waker());
-        }
+        self.ring.bind(ctx);
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
-        let mut worked = self.drain_requests();
-        worked |= self.flush_acks();
-        if self.cring.is_some() {
-            worked |= self.service_arm();
-            worked |= self.reap_ring(Some(Duration::ZERO));
-            worked |= self.service_completions();
-            worked |= self.service_arm();
-            // Starved sockets keep the actor hot, mirroring readiness
-            // mode: back-pressure resolves by nodes recycling, which no
-            // kernel wait can observe.
-            worked |= !self.ready_queue.is_empty();
-            if worked {
-                self.idle_streak = 0;
-                return Control::Busy;
-            }
-            self.idle_streak += 1;
-            if self.idle_streak >= IDLE_STREAK_PARK && self.acks.is_empty() {
-                // Park *inside* io_uring_enter, same eventcount shape as
-                // the readiness path: register, re-poll inputs, sleep.
-                // The ring's eventfd is wired into the SQ as a multishot
-                // poll, so a hub wake posts a CQE and ends the wait.
-                let hub = ctx.wake_hub().clone();
-                let _seen = hub.prepare_park();
-                if self.drain_requests() {
-                    hub.cancel_park();
-                    self.service_arm();
-                } else {
-                    self.park_waits.inc();
-                    self.reap_ring(Some(self.park_cap));
-                    hub.cancel_park();
-                    self.service_completions();
-                    self.service_arm();
-                }
-                self.idle_streak = 0;
-            }
-            // Completion mode never yields to the worker's condvar park:
-            // ring completions cannot wake a condvar.
-            return Control::Busy;
-        }
-        if self.ready.is_none() {
-            worked |= self.service_polling();
-            return if worked { Control::Busy } else { Control::Idle };
-        }
-        self.collect_events(Some(Duration::ZERO));
-        worked |= !self.ready_queue.is_empty();
-        worked |= self.service_ready();
-        if worked {
-            self.idle_streak = 0;
-            return Control::Busy;
-        }
-        self.idle_streak += 1;
-        if self.idle_streak >= IDLE_STREAK_PARK && self.acks.is_empty() {
-            // Park *inside* epoll_wait, as a registered hub sleeper: a
-            // mbox enqueue notifies the hub, the hub fires our set's
-            // eventfd waker, epoll returns. Classic eventcount shape —
-            // register, re-poll the inputs, then sleep.
-            let hub = ctx.wake_hub().clone();
-            let _seen = hub.prepare_park();
-            if self.drain_requests() {
-                hub.cancel_park();
-            } else {
-                self.park_waits.inc();
-                self.collect_events(Some(self.park_cap));
-                hub.cancel_park();
-                self.service_ready();
-            }
-            self.idle_streak = 0;
-        }
-        // Readiness mode never yields to the worker's condvar park:
-        // socket edges cannot wake a condvar.
-        Control::Busy
+        drive(self, ctx)
     }
 }
 
-/// Per-socket parked output (short-write resume state).
+/// Per-socket parked output.
 #[derive(Default)]
 struct PendingWrites {
-    /// Parked nodes with their resume offsets, oldest first.
-    queue: VecDeque<(Node, usize)>,
-    /// Completion mode: a send for this socket is inside the ring; the
-    /// next queued frame is submitted when its completion lands.
+    /// Frames waiting behind the in-flight send, oldest first.
+    queue: VecDeque<Node>,
+    /// A send for this socket is inside the ring; the next queued frame
+    /// is submitted when its completion lands.
     inflight: bool,
-    /// Readiness mode: waiting for an `EPOLLOUT` edge; skip the socket
-    /// until it fires.
-    awaiting_edge: bool,
 }
 
 /// The WRITER: transmits `Write` payloads, preserving per-socket order
 /// under partial writes.
 ///
-/// A partially transmitted message is parked as its **node** plus a byte
-/// offset — nothing is copied into side buffers, and a parked node keeps
-/// back-pressure honest by staying checked out of its pool.
-///
-/// In readiness mode a short write subscribes the socket for
-/// `EPOLLOUT` and the retry waits for the edge instead of re-trying the
-/// kernel every pass; like the [`Reader`], an idle WRITER parks inside
-/// [`ReadySet::wait_ready`] with its waker registered on the hub.
+/// Each frame's node is handed to the WRITER's [`CompletionRing`] as the
+/// transmit buffer — nothing is copied into side buffers. The ring
+/// resumes short writes itself, so per-socket order needs only one send
+/// in flight per socket and a FIFO of parked nodes behind it; a parked
+/// node keeps back-pressure honest by staying checked out of its pool.
+/// Like the [`Reader`], an idle WRITER parks inside its ring's blocking
+/// reap with the ring's waker registered on the hub.
 ///
 /// Backpressure never blocks the worker: a socket whose parked queue
-/// exceeds [`PENDING_CAP`] nodes has further writes dropped and counted
+/// exceeds `PENDING_CAP` (1 024) nodes has further writes dropped and counted
 /// (`net_dropped_writes`, see [`Writer::bind_obs`]), as are writes to
 /// sockets that died mid-queue.
 pub struct Writer {
-    net: Arc<dyn NetBackend>,
     requests: NetPort,
     pending: HashMap<u64, PendingWrites>,
     batch: Vec<Node>,
-    ready: Option<Box<dyn ReadySet>>,
-    events: Vec<ReadyEvent>,
-    /// Completion mode (preferred over `ready` when the backend offers
-    /// it): sends are submitted into the ring, short writes resume
-    /// inside it.
-    cring: Option<Box<dyn CompletionRing>>,
-    /// Scratch buffer for reaped completions.
-    completions: Vec<Completion>,
+    ring: RingState,
     /// Write frames dropped instead of queued (dead socket, or per-socket
     /// pending cap exceeded).
     dropped: Arc<Counter>,
-    /// Blocking kernel waits entered while parked (shared `net_park_waits`).
-    park_waits: Arc<Counter>,
-    /// Cap on a parked blocking wait ([`IdlePolicy::net_park_cap`]).
-    ///
-    /// [`IdlePolicy::net_park_cap`]: eactors::config::IdlePolicy::net_park_cap
-    park_cap: Duration,
-    idle_streak: u32,
 }
 
 impl std::fmt::Debug for Writer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Writer")
             .field("pending_sockets", &self.pending.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -1120,25 +800,12 @@ impl std::fmt::Debug for Writer {
 impl Writer {
     /// A WRITER draining `Write` messages from `requests`.
     pub fn new(net: Arc<dyn NetBackend>, requests: NetPort) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
         Writer {
-            net,
             requests,
             pending: HashMap::new(),
             batch: Vec::new(),
-            ready,
-            events: event_buf(),
-            cring,
-            completions: Vec::new(),
+            ring: RingState::new(net.as_ref()),
             dropped: Arc::new(Counter::default()),
-            park_waits: Arc::new(Counter::default()),
-            park_cap: PARK_TIMEOUT,
-            idle_streak: 0,
         }
     }
 
@@ -1148,151 +815,13 @@ impl Writer {
         self.dropped = registry.counter("net_dropped_writes");
     }
 
-    /// Collect `EPOLLOUT` edges, clearing `awaiting_edge` on the sockets
-    /// that became writable.
-    fn collect_events(&mut self, timeout: Option<Duration>) {
-        let Some(set) = self.ready.as_deref_mut() else {
-            return;
-        };
-        let Ok(n) = set.wait_ready(&mut self.events, timeout) else {
-            return;
-        };
-        for ev in &self.events[..n] {
-            if ev.listener {
-                continue;
-            }
-            if ev.writable || ev.hup {
-                if let Some(p) = self.pending.get_mut(&ev.id) {
-                    p.awaiting_edge = false;
-                }
-            }
-        }
-    }
-
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        let (net, ready, dropped) = (&self.net, &mut self.ready, &self.dropped);
-        self.pending.retain(|&socket, p| {
-            if p.awaiting_edge {
-                return true; // wait for EPOLLOUT instead of re-trying
-            }
-            while let Some((node, offset)) = p.queue.front_mut() {
-                match net.send(SocketId(socket), &node.bytes()[*offset..]) {
-                    Ok(0) => {
-                        // Peer buffer still full. With readiness, ask for
-                        // the writability edge (registering an already-
-                        // writable fd fires immediately, so no lost edge).
-                        if let Some(set) = ready.as_deref_mut() {
-                            if set.watch(SocketId(socket), Interest::Write).is_ok() {
-                                p.awaiting_edge = true;
-                            }
-                        }
-                        return true;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        *offset += n;
-                        if *offset == node.bytes().len() {
-                            p.queue.pop_front(); // node recycles to its pool
-                        }
-                    }
-                    Err(_) => {
-                        // Socket gone; every parked frame is lost.
-                        dropped.add(p.queue.len() as u64);
-                        if let Some(set) = ready.as_deref_mut() {
-                            set.unwatch(SocketId(socket));
-                        }
-                        return false;
-                    }
-                }
-            }
-            // Fully drained: stop watching for writability.
-            if let Some(set) = ready.as_deref_mut() {
-                set.unwatch(SocketId(socket));
-            }
-            false
-        });
-        progressed
-    }
-
-    fn intake(&mut self) -> bool {
-        const BATCH: usize = 32;
-        let mut worked = false;
-        let Writer {
-            net,
-            requests,
-            pending,
-            batch,
-            ready,
-            dropped,
-            ..
-        } = self;
-        while requests.mbox().recv_batch(batch, BATCH) > 0 {
-            worked = true;
-            for node in batch.drain(..) {
-                // `Write` payloads sit at a fixed offset in the frame, so
-                // the node itself is the transmit buffer.
-                let socket = match NetMsg::decode_from(node.bytes()) {
-                    Some(NetMsg::Write { socket, .. }) => socket,
-                    Some(_) => continue, // not ours; drop
-                    None => {
-                        requests.stats().note_corrupt_frame();
-                        continue;
-                    }
-                };
-                if let Some(p) = pending.get_mut(&socket) {
-                    // Order must be preserved behind earlier pending bytes.
-                    if p.queue.len() >= PENDING_CAP {
-                        dropped.inc(); // bounded memory beats a blocked worker
-                        continue;
-                    }
-                    p.queue.push_back((node, DATA_HEADER));
-                    continue;
-                }
-                let mut offset = DATA_HEADER;
-                while offset < node.bytes().len() {
-                    match net.send(SocketId(socket), &node.bytes()[offset..]) {
-                        Ok(0) => {
-                            // Peer buffer full: park the node for later.
-                            let p = pending.entry(socket).or_default();
-                            p.queue.push_back((node, offset));
-                            if let Some(set) = ready.as_deref_mut() {
-                                if set.watch(SocketId(socket), Interest::Write).is_ok() {
-                                    p.awaiting_edge = true;
-                                }
-                            }
-                            break;
-                        }
-                        Ok(n) => offset += n,
-                        Err(_) => {
-                            // Socket is gone; drop the frame and count it.
-                            dropped.inc();
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        worked
-    }
-
-    /// Flush pending submissions and reap completions (completion
-    /// mode) — at most one syscall. Returns whether anything completed.
-    fn reap_ring(&mut self, timeout: Option<Duration>) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        matches!(ring.reap(&mut self.completions, timeout), Ok(n) if n > 0)
-    }
-
-    /// Hand `node` to the ring as a send on `socket` (completion mode).
-    /// Short writes resume inside the ring, so per-socket order needs no
-    /// readiness edge — just one in-flight send and a FIFO behind it.
+    /// Hand `node` to the ring as a send on `socket`.
     fn submit_send(&mut self, socket: u64, node: Node) {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return;
-        };
-        match ring.send_node(SocketId(socket), node, DATA_HEADER) {
+        match self
+            .ring
+            .ring
+            .send_node(SocketId(socket), node, DATA_HEADER)
+        {
             Ok(()) => {
                 self.pending.entry(socket).or_default().inflight = true;
             }
@@ -1301,7 +830,7 @@ impl Writer {
             Err((NetError::WouldBlock, node)) => {
                 let p = self.pending.entry(socket).or_default();
                 p.inflight = true;
-                p.queue.push_front((node, DATA_HEADER));
+                p.queue.push_front(node);
             }
             Err((_, _node)) => {
                 // Socket gone; the frame and everything parked behind it
@@ -1314,8 +843,8 @@ impl Writer {
         }
     }
 
-    /// Completion-mode intake: decode `Write` frames and submit each
-    /// node to the ring, or park it behind the socket's in-flight send.
+    /// Decode `Write` frames and submit each node to the ring, or park
+    /// it behind the socket's in-flight send.
     fn intake_ring(&mut self) -> bool {
         const BATCH: usize = 32;
         let mut worked = false;
@@ -1323,6 +852,8 @@ impl Writer {
         while self.requests.mbox().recv_batch(&mut drained, BATCH) > 0 {
             worked = true;
             for node in drained.drain(..) {
+                // `Write` payloads sit at a fixed offset in the frame, so
+                // the node itself is the transmit buffer.
                 let socket = match NetMsg::decode_from(node.bytes()) {
                     Some(NetMsg::Write { socket, .. }) => socket,
                     Some(_) => continue, // not ours; drop
@@ -1340,7 +871,7 @@ impl Writer {
                         if p.queue.len() >= PENDING_CAP {
                             self.dropped.inc(); // bounded memory wins
                         } else {
-                            p.queue.push_back((node, DATA_HEADER));
+                            p.queue.push_back(node);
                         }
                         continue;
                     }
@@ -1352,12 +883,12 @@ impl Writer {
         worked
     }
 
-    /// Deliver reaped send completions (completion mode): a finished
-    /// send releases its socket's next parked frame into the ring; a
-    /// failed one retires the socket and counts its parked frames.
+    /// Deliver reaped send completions: a finished send releases its
+    /// socket's next parked frame into the ring; a failed one retires
+    /// the socket and counts its parked frames.
     fn service_send_completions(&mut self) -> bool {
         let mut worked = false;
-        let mut comps = std::mem::take(&mut self.completions);
+        let mut comps = std::mem::take(&mut self.ring.completions);
         for c in comps.drain(..) {
             let Completion::Sent { socket, result, .. } = c else {
                 continue;
@@ -1369,7 +900,7 @@ impl Writer {
             p.inflight = false;
             match result {
                 Ok(()) => {
-                    if let Some((node, _)) = p.queue.pop_front() {
+                    if let Some(node) = p.queue.pop_front() {
                         self.submit_send(socket, node);
                     } else {
                         self.pending.remove(&socket);
@@ -1383,86 +914,40 @@ impl Writer {
                 }
             }
         }
-        self.completions = comps; // keep the allocation
+        self.ring.completions = comps; // keep the allocation
         worked
+    }
+}
+
+impl RingActor for Writer {
+    fn ring(&mut self) -> &mut RingState {
+        &mut self.ring
+    }
+
+    fn pass(&mut self) -> bool {
+        let mut worked = self.ring.reap(Duration::ZERO);
+        worked |= self.service_send_completions();
+        worked | self.intake_ring()
+    }
+
+    fn intake(&mut self) -> bool {
+        self.intake_ring()
+    }
+
+    fn settle(&mut self) {
+        self.service_send_completions();
+        self.intake_ring();
     }
 }
 
 impl Actor for Writer {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_writes");
-        self.park_waits = ctx.obs_hub().registry().counter("net_park_waits");
-        self.park_cap = ctx.idle_policy().net_park_cap;
-        if let Some(set) = &self.ready {
-            ctx.wake_hub().register_waker(set.waker());
-        }
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-            ctx.wake_hub().register_waker(ring.waker());
-        }
+        self.ring.bind(ctx);
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
-        if self.cring.is_some() {
-            let mut worked = self.reap_ring(Some(Duration::ZERO));
-            worked |= self.service_send_completions();
-            worked |= self.intake_ring();
-            if worked {
-                self.idle_streak = 0;
-                return Control::Busy;
-            }
-            self.idle_streak += 1;
-            if self.idle_streak >= IDLE_STREAK_PARK {
-                // Same eventcount handshake as the Reader: new requests
-                // notify the hub, the hub fires the ring's eventfd, the
-                // poll CQE ends the blocking enter.
-                let hub = ctx.wake_hub().clone();
-                let _seen = hub.prepare_park();
-                if self.intake_ring() {
-                    hub.cancel_park();
-                } else {
-                    self.park_waits.inc();
-                    self.reap_ring(Some(self.park_cap));
-                    hub.cancel_park();
-                    self.service_send_completions();
-                    self.intake_ring();
-                }
-                self.idle_streak = 0;
-            }
-            // Completion mode never yields to the worker's condvar park.
-            return Control::Busy;
-        }
-        if self.ready.is_none() {
-            let mut worked = self.flush();
-            worked |= self.intake();
-            return if worked { Control::Busy } else { Control::Idle };
-        }
-        self.collect_events(Some(Duration::ZERO));
-        let mut worked = self.flush();
-        worked |= self.intake();
-        if worked {
-            self.idle_streak = 0;
-            return Control::Busy;
-        }
-        self.idle_streak += 1;
-        if self.idle_streak >= IDLE_STREAK_PARK {
-            // Same eventcount handshake as the Reader: new requests
-            // notify the hub, the hub fires our eventfd, epoll returns.
-            let hub = ctx.wake_hub().clone();
-            let _seen = hub.prepare_park();
-            if self.intake() {
-                hub.cancel_park();
-                self.flush();
-            } else {
-                self.park_waits.inc();
-                self.collect_events(Some(self.park_cap));
-                hub.cancel_park();
-                self.flush();
-                self.intake();
-            }
-            self.idle_streak = 0;
-        }
-        Control::Busy
+        drive(self, ctx)
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Enclaves cannot issue system calls, so all networking in EActors runs
 //! in untrusted *system actors* (§4.2). This module defines the socket
-//! interface those actors program against. Two backends implement it:
-//! [`crate::SimNet`] (an in-process TCP-like substrate with a syscall
-//! cost model — used by the benchmarks so thousands of emulated clients
-//! fit on one machine) and [`crate::TcpLoopback`] (real `std::net`
-//! sockets on localhost).
+//! interface those actors program against: [`NetBackend`] for the
+//! synchronous socket calls and [`CompletionRing`], the one I/O facility
+//! the READER, WRITER and ACCEPTER drive. [`crate::SimNet`] (an
+//! in-process TCP-like substrate with a syscall cost model — used by the
+//! benchmarks so thousands of emulated clients fit on one machine) and
+//! [`crate::TcpLoopback`] (real `std::net` sockets on localhost) are the
+//! portable backends.
 
 use std::fmt;
 use std::sync::Arc;
@@ -56,6 +58,9 @@ pub enum NetError {
     /// A scripted failure from a fault-injection plan fired at the named
     /// failpoint site (simulation backend only).
     Injected(&'static str),
+    /// The operation was withdrawn by [`CompletionRing::cancel_recv`]
+    /// before it completed.
+    Canceled,
 }
 
 impl fmt::Display for NetError {
@@ -70,6 +75,7 @@ impl fmt::Display for NetError {
             NetError::WouldBlock => write!(f, "operation would block"),
             NetError::Io(e) => write!(f, "socket i/o error: {e}"),
             NetError::Injected(site) => write!(f, "fault injected at {site}"),
+            NetError::Canceled => write!(f, "operation canceled"),
         }
     }
 }
@@ -89,88 +95,14 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// What a readiness consumer wants to hear about for one socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interest {
-    /// Readable / EOF / error events (READER side).
-    Read,
-    /// Writable events (WRITER side, after a short write).
-    Write,
-}
-
-/// One edge-triggered readiness event from [`ReadySet::wait_ready`].
-///
-/// Edge semantics: the consumer must drain the socket (read or write
-/// until [`NetError::WouldBlock`]) before the next event for it can
-/// fire. Events are level-collapsed per wait — one event may cover any
-/// number of underlying arrivals.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReadyEvent {
-    /// The watched socket or listener id ([`SocketId::0`] /
-    /// [`ListenerId::0`]).
-    pub id: u64,
-    /// `id` names a listener (accept-readiness) rather than a socket.
-    pub listener: bool,
-    /// Data (or EOF) can be read without blocking.
-    pub readable: bool,
-    /// Buffer space is available for writing.
-    pub writable: bool,
-    /// The peer hung up or the socket errored; drain then close.
-    pub hup: bool,
-}
-
-/// A per-consumer readiness multiplexer (one `epoll` instance).
-///
-/// Each consumer (READER, WRITER, ACCEPTER) owns its own set so events
-/// are never stolen between actors: the same socket may be watched for
-/// [`Interest::Read`] in one set and [`Interest::Write`] in another.
-/// Watches are edge-triggered; a freshly added watch should be treated
-/// as ready once and drained, which makes "event fired before the watch
-/// existed" races harmless.
-pub trait ReadySet: Send + fmt::Debug {
-    /// Watch `socket` for `interest` events. Adding an already-ready
-    /// socket produces an event on the next wait.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`] for an unknown socket.
-    fn watch(&mut self, socket: SocketId, interest: Interest) -> Result<(), NetError>;
-
-    /// Stop watching `socket`. Unknown ids are a no-op (the socket may
-    /// already be closed).
-    fn unwatch(&mut self, socket: SocketId);
-
-    /// Watch `listener` for accept-readiness.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`] for an unknown listener.
-    fn watch_listener(&mut self, listener: ListenerId) -> Result<(), NetError>;
-
-    /// Stop watching `listener`. Unknown ids are a no-op.
-    fn unwatch_listener(&mut self, listener: ListenerId);
-
-    /// Block up to `timeout` for events, writing them into `events`
-    /// (caller-owned — no allocation). Returns the number written; `0`
-    /// on timeout or when woken by the [`ReadySet::waker`]. A `None`
-    /// timeout blocks until an event or a wake. `EINTR` is absorbed
-    /// (reported as `0`).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on multiplexer failure,
-    /// [`NetError::TrustedDomain`] from enclave code.
-    fn wait_ready(
-        &mut self,
-        events: &mut [ReadyEvent],
-        timeout: Option<Duration>,
-    ) -> Result<usize, NetError>;
-
-    /// A handle that interrupts a concurrent [`ReadySet::wait_ready`]
-    /// from any thread. Register it with the runtime's
-    /// [`eactors::wake::WakeHub`] so message enqueues wake a parked
-    /// consumer.
-    fn waker(&self) -> Arc<dyn HubWaker>;
+/// Refuse enclave callers without charging a syscall: ring bookkeeping
+/// that issues no system call still must not run trusted.
+pub(crate) fn untrusted() -> Result<(), NetError> {
+    if sgx_sim::current_domain().is_trusted() {
+        Err(NetError::TrustedDomain)
+    } else {
+        Ok(())
+    }
 }
 
 /// A non-blocking TCP-like transport.
@@ -230,23 +162,11 @@ pub trait NetBackend: Send + Sync + fmt::Debug {
     /// [`NetError::BadSocket`] for an unknown listener.
     fn close_listener(&self, listener: ListenerId) -> Result<(), NetError>;
 
-    /// Create a readiness multiplexer over this backend's sockets, or
-    /// `None` when the backend only supports polling ([`crate::SimNet`],
-    /// [`crate::TcpLoopback`]). Consumers that get `None` fall back to
-    /// iterating their watch lists every pass.
-    fn ready_set(&self) -> Option<Box<dyn ReadySet>> {
-        None
-    }
-
-    /// Create a completion ring over this backend's sockets, or `None`
-    /// when the backend has no submission-queue engine (every backend
-    /// except `UringBackend`). Consumers prefer a completion ring over a
-    /// [`NetBackend::ready_set`]: instead of "wait for readiness, then
-    /// one syscall per event", they submit the operations themselves and
-    /// reap finished ones in batches — at most one syscall per *batch*.
-    fn completion_ring(&self) -> Option<Box<dyn CompletionRing>> {
-        None
-    }
+    /// Create a completion ring over this backend's sockets — the one
+    /// I/O facility the system actors drive. Each call returns an
+    /// independent ring (its own in-flight table and waker), so
+    /// completions are never stolen between consumers.
+    fn completion_ring(&self) -> Box<dyn CompletionRing>;
 }
 
 /// One finished operation reaped from a [`CompletionRing`].
@@ -302,26 +222,28 @@ pub enum Completion {
     },
 }
 
-/// A per-consumer submission/completion engine (one io_uring instance).
+/// A per-consumer submission/completion engine.
 ///
-/// Mirrors [`ReadySet`]'s ownership model — each consumer (READER,
-/// WRITER, ACCEPTER) drives its own ring, so completions are never
-/// stolen between actors — but inverts the control flow: the consumer
-/// *submits* operations (with their buffers) and later *reaps* their
-/// completions, instead of waiting for readiness and then issuing one
-/// syscall per ready socket.
+/// Each consumer (READER, WRITER, ACCEPTER) drives its own ring, so
+/// completions are never stolen between actors. The consumer *submits*
+/// operations (with their buffers) and later *reaps* their completions.
+/// Three implementations exist: an io_uring instance (`UringBackend`),
+/// an epoll reactor that performs the I/O on each readiness edge
+/// (`EpollBackend`), and a polled ring that retries every armed
+/// operation once per reap (`SimNet`, `TcpLoopback`, and `UringBackend`
+/// when the kernel refuses a ring).
 ///
 /// At most one receive and one send may be in flight per socket per
 /// ring (the actors' natural discipline); a second submission fails
 /// with [`NetError::WouldBlock`]. Submissions are *published* locally
-/// and handed to the kernel in the next [`CompletionRing::reap`] — one
+/// and acted on by the next [`CompletionRing::reap`]; with io_uring one
 /// `io_uring_enter` covers the whole batch, and a reap that finds
 /// already-posted completions costs **zero** syscalls.
 pub trait CompletionRing: Send + fmt::Debug {
     /// Keep accepting on `listener`, posting [`Completion::Accepted`]
     /// per connection until cancelled or [`Completion::AcceptFailed`].
-    /// Uses multishot accept where the kernel supports it, transparent
-    /// oneshot re-arm otherwise. Idempotent while armed.
+    /// io_uring uses multishot accept where the kernel supports it,
+    /// transparent oneshot re-arm otherwise. Idempotent while armed.
     ///
     /// # Errors
     ///
@@ -341,8 +263,9 @@ pub trait CompletionRing: Send + fmt::Debug {
     /// # Errors
     ///
     /// The node is handed back with [`NetError::BadSocket`] (unknown
-    /// socket), [`NetError::WouldBlock`] (a receive is already in
-    /// flight), or [`NetError::TrustedDomain`].
+    /// socket — a polled ring reports it in the completion instead),
+    /// [`NetError::WouldBlock`] (a receive is already in flight), or
+    /// [`NetError::TrustedDomain`].
     fn recv_into(
         &mut self,
         socket: SocketId,
@@ -352,8 +275,8 @@ pub trait CompletionRing: Send + fmt::Debug {
 
     /// Cancel the in-flight receive on `socket`, if any. The node comes
     /// back through [`Completion::Recv`] — with real data if the
-    /// receive won the race, as an `Err` otherwise. No-op when nothing
-    /// is in flight.
+    /// receive won the race, as `Err(`[`NetError::Canceled`]`)`
+    /// otherwise. No-op when nothing is in flight.
     fn cancel_recv(&mut self, socket: SocketId);
 
     /// Submit the transmission of `node.bytes()[offset..]` on `socket`.
@@ -377,8 +300,9 @@ pub trait CompletionRing: Send + fmt::Debug {
     /// `out` (appended), blocking up to `timeout` when it is not zero
     /// and nothing has completed yet. Returns how many completions were
     /// appended; `0` on timeout or a [`CompletionRing::waker`] wake.
-    /// The whole call issues **at most one** `io_uring_enter`; with
-    /// nothing to submit and completions already posted it issues none.
+    /// The whole call issues **at most one** kernel wait
+    /// (`io_uring_enter` / `epoll_wait`); a polled ring instead sleeps
+    /// once, for at most 200 µs, before polling.
     ///
     /// # Errors
     ///
@@ -393,12 +317,13 @@ pub trait CompletionRing: Send + fmt::Debug {
     /// A handle that interrupts a concurrent blocking
     /// [`CompletionRing::reap`] from any thread; register it with the
     /// runtime's [`eactors::wake::WakeHub`] so message enqueues wake a
-    /// parked consumer (same contract as [`ReadySet::waker`]).
+    /// parked consumer. A wake that lands while nobody waits is not
+    /// lost: the next blocking reap returns early.
     fn waker(&self) -> Arc<dyn HubWaker>;
 
-    /// Bind the ring's counters into `registry`:
+    /// Bind the ring's counters into `registry` (io_uring:
     /// `net_sqe_submitted`, `net_cqe_reaped`, `net_enter_syscalls` and
-    /// the `net_uring_batch` completion-batch histogram. Rings of one
+    /// the `net_uring_batch` completion-batch histogram). Rings of one
     /// deployment share the named atomics.
     fn bind_obs(&mut self, _registry: &MetricsRegistry) {}
 }

@@ -1,234 +1,96 @@
-//! Edge-triggered readiness backend over Linux `epoll(7)`.
+//! The epoll backend: real loopback sockets behind an edge-triggered
+//! `epoll(7)` completion ring.
 //!
-//! Same socket contract as [`crate::TcpLoopback`] (real `std::net`
-//! loopback sockets, logical-port indirection, no lock held across a
-//! syscall), plus the [`ReadySet`] readiness API so the READER/WRITER
-//! system actors can sleep in `epoll_wait` instead of polling every
-//! watched socket each pass.
+//! The sockets are [`crate::TcpLoopback`]'s; this module adds only
+//! [`EpollRing`], a reactor→proactor adapter giving epoll the
+//! [`CompletionRing`] contract. Each consumer gets its own ring (own
+//! epoll fd and eventfd), so a READER and a WRITER watching the same
+//! socket never steal each other's events.
 //!
-//! # Readiness model
+//! A socket is registered edge-triggered (`EPOLLET`) on its first
+//! receive, or on the first send that would block. Each reap collects
+//! edges with one `epoll_wait`, then acts on them: one `recv` into the
+//! node an armed receive handed over, the rest of a parked send, or the
+//! whole accept backlog of a ready listener — each posted as a
+//! [`Completion`]. A socket stays "ready until `WouldBlock`": an edge
+//! sets the flag and only an operation that would block clears it, so
+//! data left behind by one receive is read by the next without waiting
+//! for an edge that will never come. A fresh registration starts ready,
+//! which also covers an edge that fired before the watch existed.
 //!
-//! Every consumer gets its **own** epoll instance from
-//! [`NetBackend::ready_set`] — a READER watching a socket for input and
-//! a WRITER watching the same socket for output never steal each
-//! other's events. Watches are edge-triggered (`EPOLLET`): an event
-//! means "state changed, drain until `WouldBlock`". Consumers must
-//! treat a fresh watch as ready once, which also closes the race where
-//! an edge fires before the watch exists (`EPOLL_CTL_ADD` of an
-//! already-ready fd queues an event immediately).
-//!
-//! Each set carries an `eventfd` registered level-triggered under a
-//! sentinel cookie. Its [`HubWaker`] is registered with the runtime's
-//! [`eactors::wake::WakeHub`], so any mbox enqueue interrupts a
-//! concurrent [`ReadySet::wait_ready`] — the epoll sleep *is* the
-//! worker's park. The waker is edge-armed: one atomic swap when the
-//! consumer is awake, one `write(2)` at most per sleep.
-//!
-//! A set holds an [`Arc`] on every stream it watches, so a racing
-//! `close` cannot recycle an fd number that is still registered; the fd
-//! actually closes (and drops out of the epoll set) when the last
-//! holder lets go.
+//! The ring's eventfd [`HubWaker`] ends a blocking reap on any mbox
+//! enqueue (edge-armed: one atomic swap while the consumer is awake, at
+//! most one `write(2)` per sleep). A ring pins an [`Arc`] on every
+//! stream it watches, so a racing `close` cannot recycle a registered fd
+//! number; `close` shuts the socket down, and the resulting `EPOLLHUP`
+//! drops a watch that has nothing armed.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use eactors::arena::Node;
 use eactors::wake::HubWaker;
-use sgx_sim::sync::Mutex;
-use sgx_sim::{current_domain, CostHandle};
+use sgx_sim::CostHandle;
 
 use crate::backend::{
-    Interest, ListenerId, NetBackend, NetError, ReadyEvent, ReadySet, RecvOutcome, SocketId,
+    untrusted, Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
 };
 use crate::ffi;
-use crate::ioutil::retry_intr;
+use crate::polled::PolledRing;
+use crate::tcp::{delegate_sockets, TcpLoopback};
 
 /// Epoll-event cookie tag marking a listener id (socket ids are
 /// sequential and never reach this bit).
 const LISTENER_TAG: u64 = 1 << 63;
-/// Cookie of each set's wake eventfd.
+/// Cookie of each ring's wake eventfd.
 const WAKER_COOKIE: u64 = u64::MAX;
 /// Stack batch size for one `epoll_wait`; truncated events stay on the
 /// kernel's ready list and surface on the next wait.
 const WAIT_BATCH: usize = 64;
+const READ_MASK: u32 = ffi::EPOLLIN | ffi::EPOLLRDHUP | ffi::EPOLLET;
+const WRITE_MASK: u32 = ffi::EPOLLOUT | ffi::EPOLLET;
 
-/// Real loopback TCP with edge-triggered `epoll` readiness.
+/// Real loopback TCP with an edge-triggered `epoll` completion ring.
 #[derive(Debug, Clone)]
 pub struct EpollBackend {
-    inner: Arc<EpollInner>,
-}
-
-#[derive(Debug)]
-struct EpollInner {
-    costs: CostHandle,
-    next_id: AtomicU64,
-    listeners: Mutex<HashMap<u64, (Arc<TcpListener>, u16)>>,
-    ports: Mutex<HashMap<u16, u16>>, // logical port -> OS port
-    sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
-    /// Forced kernel buffer size for new sockets (tests use a small one
-    /// to provoke short writes).
-    buf_bytes: Option<usize>,
-}
-
-impl EpollInner {
-    fn syscall(&self) -> Result<(), NetError> {
-        if current_domain().is_trusted() {
-            return Err(NetError::TrustedDomain);
-        }
-        self.costs.charge_syscall();
-        Ok(())
-    }
-
-    fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
-        self.sockets
-            .lock()
-            .get(&id.0)
-            .cloned()
-            .ok_or(NetError::BadSocket)
-    }
-
-    fn adopt(&self, stream: TcpStream) -> Result<u64, NetError> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        if let Some(bytes) = self.buf_bytes {
-            ffi::set_buf_sizes(stream.as_raw_fd(), bytes)?;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sockets.lock().insert(id, Arc::new(stream));
-        Ok(id)
-    }
+    tcp: TcpLoopback,
 }
 
 impl EpollBackend {
     /// A fresh backend charging syscalls through `costs`.
     pub fn new(costs: CostHandle) -> Self {
-        Self::build(costs, None)
+        EpollBackend {
+            tcp: TcpLoopback::with_buf_bytes(costs, None),
+        }
     }
 
     /// Like [`EpollBackend::new`], but every socket's kernel send and
     /// receive buffers are shrunk to roughly `bytes` — the conformance
     /// suite uses this to force partial writes with small payloads.
     pub fn with_buffer_size(costs: CostHandle, bytes: usize) -> Self {
-        Self::build(costs, Some(bytes))
-    }
-
-    fn build(costs: CostHandle, buf_bytes: Option<usize>) -> Self {
         EpollBackend {
-            inner: Arc::new(EpollInner {
-                costs,
-                next_id: AtomicU64::new(1),
-                listeners: Mutex::new(HashMap::new()),
-                ports: Mutex::new(HashMap::new()),
-                sockets: Mutex::new(HashMap::new()),
-                buf_bytes,
-            }),
+            tcp: TcpLoopback::with_buf_bytes(costs, Some(bytes)),
         }
     }
 }
 
 impl NetBackend for EpollBackend {
-    fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
-        self.inner.syscall()?;
-        let mut ports = self.inner.ports.lock();
-        if ports.contains_key(&port) {
-            return Err(NetError::PortInUse(port));
+    delegate_sockets!();
+
+    fn completion_ring(&self) -> Box<dyn CompletionRing> {
+        match EpollRing::new(self.tcp.clone()) {
+            Ok(ring) => Box::new(ring),
+            // No epoll instance to be had (fd limit): poll instead.
+            Err(_) => Box::new(PolledRing::new(self.tcp.clone())),
         }
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
-        let os_port = listener.local_addr()?.port();
-        ports.insert(port, os_port);
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .listeners
-            .lock()
-            .insert(id, (Arc::new(listener), port));
-        Ok(ListenerId(id))
-    }
-
-    fn connect(&self, port: u16) -> Result<SocketId, NetError> {
-        self.inner.syscall()?;
-        let os_port = *self
-            .inner
-            .ports
-            .lock()
-            .get(&port)
-            .ok_or(NetError::ConnectionRefused(port))?;
-        let stream = retry_intr(|| TcpStream::connect((Ipv4Addr::LOCALHOST, os_port)))
-            .map_err(|_| NetError::ConnectionRefused(port))?;
-        self.inner.adopt(stream).map(SocketId)
-    }
-
-    fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
-        self.inner.syscall()?;
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
-        match retry_intr(|| l.accept()) {
-            Ok((stream, _)) => self.inner.adopt(stream).map(|id| Some(SocketId(id))),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
-        self.inner.syscall()?;
-        let s = self.inner.socket(socket)?;
-        match retry_intr(|| (&*s).write(data)) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
-        self.inner.syscall()?;
-        let s = self.inner.socket(socket)?;
-        match retry_intr(|| (&*s).read(buf)) {
-            Ok(0) => Ok(RecvOutcome::Eof),
-            Ok(n) => Ok(RecvOutcome::Data(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(RecvOutcome::WouldBlock),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn close(&self, socket: SocketId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        self.inner
-            .sockets
-            .lock()
-            .remove(&socket.0)
-            .map(drop)
-            .ok_or(NetError::BadSocket)
-    }
-
-    fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let (_listener, logical_port) = self
-            .inner
-            .listeners
-            .lock()
-            .remove(&listener.0)
-            .ok_or(NetError::BadSocket)?;
-        self.inner.ports.lock().remove(&logical_port);
-        Ok(())
-    }
-
-    fn ready_set(&self) -> Option<Box<dyn ReadySet>> {
-        EpollSet::new(self.inner.clone())
-            .ok()
-            .map(|s| Box::new(s) as Box<dyn ReadySet>)
     }
 }
 
-/// Wakes a blocked [`EpollSet::wait_ready`] by signalling its eventfd.
+/// Wakes a blocked ring wait by signalling its eventfd.
 ///
 /// Edge-armed: the flag is set while the consumer might be (about to
 /// be) sleeping and cleared by the first wake, so a storm of notifies
@@ -258,278 +120,383 @@ impl HubWaker for EventfdWaker {
     }
 }
 
-/// One consumer's epoll instance (see module docs).
+/// One registered socket with its readiness flags and armed operations.
 #[derive(Debug)]
-struct EpollSet {
-    inner: Arc<EpollInner>,
-    epfd: ffi::OwnedFd,
-    waker: Arc<EventfdWaker>,
-    /// Watched streams with their current event mask. Holding the `Arc`
-    /// pins the fd for the lifetime of the watch (no fd-number reuse
-    /// while registered).
-    watched: HashMap<u64, (Arc<TcpStream>, u32)>,
-    watched_listeners: HashMap<u64, Arc<TcpListener>>,
+struct Watch {
+    /// Pins the fd while registered (no fd-number reuse under the set).
+    stream: Arc<TcpStream>,
+    mask: u32,
+    /// Ready until a read would block.
+    readable: bool,
+    /// Ready until a write would block.
+    writable: bool,
+    /// Queued in [`EpollRing::due`].
+    due: bool,
+    /// The armed receive: node and payload offset.
+    recv: Option<(Node, usize)>,
+    /// The parked send: node and next byte to transmit.
+    send: Option<(Node, usize)>,
 }
 
-impl EpollSet {
-    fn new(inner: Arc<EpollInner>) -> std::io::Result<Self> {
-        let epfd = ffi::epoll_create()?;
-        let evfd = ffi::eventfd_create()?;
-        // Level-triggered on purpose: if a wake signal is crowded out of
-        // one batch it simply surfaces on the next wait.
-        ffi::epoll_add(&epfd, evfd.raw(), ffi::EPOLLIN, WAKER_COOKIE)?;
-        Ok(EpollSet {
-            inner,
-            epfd,
-            waker: Arc::new(EventfdWaker {
-                fd: evfd,
-                armed: AtomicBool::new(true),
-            }),
-            watched: HashMap::new(),
-            watched_listeners: HashMap::new(),
-        })
+impl Watch {
+    /// Whether an armed operation can make progress right now.
+    fn actionable(&self) -> bool {
+        (self.readable && self.recv.is_some()) || (self.writable && self.send.is_some())
     }
 }
 
-impl ReadySet for EpollSet {
-    fn watch(&mut self, socket: SocketId, interest: Interest) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let mask = match interest {
-            Interest::Read => ffi::EPOLLIN | ffi::EPOLLRDHUP | ffi::EPOLLET,
-            Interest::Write => ffi::EPOLLOUT | ffi::EPOLLET,
-        };
-        if let Some((stream, cur)) = self.watched.get_mut(&socket.0) {
-            let merged = *cur | mask;
-            ffi::epoll_mod(&self.epfd, stream.as_raw_fd(), merged, socket.0)?;
-            *cur = merged;
+#[derive(Debug)]
+struct ListenWatch {
+    /// Pins the listener's fd while registered.
+    listener: Arc<TcpListener>,
+    /// An accept edge fired (or the watch is new) and the backlog has
+    /// not been drained since.
+    ready: bool,
+}
+
+/// One consumer's epoll completion ring (see module docs).
+#[derive(Debug)]
+pub(crate) struct EpollRing {
+    tcp: TcpLoopback,
+    epfd: ffi::OwnedFd,
+    waker: Arc<EventfdWaker>,
+    watches: HashMap<u64, Watch>,
+    listeners: HashMap<u64, ListenWatch>,
+    /// Sockets with an armed operation that can make progress.
+    due: Vec<u64>,
+    /// Completions decided outside a reap (cancellations, sends that
+    /// finished at submission).
+    posted: Vec<Completion>,
+}
+
+/// Send `node.bytes()[*pos..]` until it is all out (`Ok(true)`) or the
+/// socket would block (`Ok(false)`), advancing `*pos`.
+fn send_out(
+    tcp: &TcpLoopback,
+    socket: u64,
+    node: &Node,
+    pos: &mut usize,
+) -> Result<bool, NetError> {
+    while *pos < node.len() {
+        match tcp.send(SocketId(socket), &node.bytes()[*pos..])? {
+            0 => return Ok(false),
+            n => *pos += n,
+        }
+    }
+    Ok(true)
+}
+
+impl EpollRing {
+    fn new(tcp: TcpLoopback) -> std::io::Result<Self> {
+        let epfd = ffi::epoll_create()?;
+        let waker = Arc::new(EventfdWaker::create()?);
+        // Level-triggered on purpose: if a wake signal is crowded out of
+        // one batch it simply surfaces on the next wait.
+        ffi::epoll_add(&epfd, waker.fd.raw(), ffi::EPOLLIN, WAKER_COOKIE)?;
+        Ok(EpollRing {
+            tcp,
+            epfd,
+            waker,
+            watches: HashMap::new(),
+            listeners: HashMap::new(),
+            due: Vec::new(),
+            posted: Vec::new(),
+        })
+    }
+
+    /// Register interest `mask` on `socket`. A new interest counts as
+    /// ready once; the first attempt finds out.
+    fn watch(&mut self, socket: u64, mask: u32) -> Result<(), NetError> {
+        let table = &self.tcp.table;
+        if let Some(w) = self.watches.get_mut(&socket) {
+            if w.mask & mask != mask {
+                table.syscall()?;
+                ffi::epoll_mod(&self.epfd, w.stream.as_raw_fd(), w.mask | mask, socket)?;
+                w.mask |= mask;
+                w.readable |= mask & ffi::EPOLLIN != 0;
+                w.writable |= mask & ffi::EPOLLOUT != 0;
+            }
             return Ok(());
         }
-        let stream = self.inner.socket(socket)?;
-        ffi::epoll_add(&self.epfd, stream.as_raw_fd(), mask, socket.0)?;
-        self.watched.insert(socket.0, (stream, mask));
+        let stream = table.socket(SocketId(socket))?;
+        table.syscall()?;
+        ffi::epoll_add(&self.epfd, stream.as_raw_fd(), mask, socket)?;
+        let (readable, writable, due, recv, send) = (true, true, false, None, None);
+        let w = Watch {
+            stream,
+            mask,
+            readable,
+            writable,
+            due,
+            recv,
+            send,
+        };
+        self.watches.insert(socket, w);
         Ok(())
     }
 
-    fn unwatch(&mut self, socket: SocketId) {
-        if let Some((stream, _)) = self.watched.remove(&socket.0) {
-            ffi::epoll_del(&self.epfd, stream.as_raw_fd());
+    /// Drop `socket`'s registration (and with it the fd pin).
+    fn unwatch(&mut self, socket: u64) {
+        if let Some(w) = self.watches.remove(&socket) {
+            ffi::epoll_del(&self.epfd, w.stream.as_raw_fd());
         }
     }
 
-    fn watch_listener(&mut self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        if self.watched_listeners.contains_key(&listener.0) {
+    /// Queue `socket` for the next I/O round if it can make progress.
+    fn mark_due(&mut self, socket: u64) {
+        if let Some(w) = self.watches.get_mut(&socket) {
+            if !w.due && w.actionable() {
+                w.due = true;
+                self.due.push(socket);
+            }
+        }
+    }
+
+    /// Fold one epoll event into the readiness flags.
+    fn on_event(&mut self, cookie: u64, mask: u32) {
+        if cookie == WAKER_COOKIE {
+            ffi::eventfd_drain(&self.waker.fd);
+            return;
+        }
+        if cookie & LISTENER_TAG != 0 {
+            if let Some(l) = self.listeners.get_mut(&(cookie & !LISTENER_TAG)) {
+                l.ready = true;
+            }
+            return;
+        }
+        let Some(w) = self.watches.get_mut(&cookie) else {
+            return;
+        };
+        let hup = mask & (ffi::EPOLLHUP | ffi::EPOLLERR) != 0;
+        w.readable |= hup || mask & (ffi::EPOLLIN | ffi::EPOLLRDHUP) != 0;
+        w.writable |= hup || mask & ffi::EPOLLOUT != 0;
+        let idle = w.recv.is_none() && w.send.is_none();
+        if idle && hup && self.tcp.table.socket(SocketId(cookie)).is_err() {
+            // Closed while nothing was armed here: let the fd go.
+            self.unwatch(cookie);
+            return;
+        }
+        self.mark_due(cookie);
+    }
+
+    /// Drain the backlog of every ready listener.
+    fn accept_ready(&mut self, out: &mut Vec<Completion>) {
+        let (tcp, epfd) = (&self.tcp, &self.epfd);
+        self.listeners.retain(|&listener, l| {
+            while l.ready {
+                match tcp.accept(ListenerId(listener)) {
+                    Ok(Some(SocketId(socket))) => {
+                        out.push(Completion::Accepted { listener, socket })
+                    }
+                    Ok(None) => l.ready = false,
+                    Err(_) => {
+                        ffi::epoll_del(epfd, l.listener.as_raw_fd());
+                        out.push(Completion::AcceptFailed { listener });
+                        return false;
+                    }
+                }
+            }
+            true
+        });
+    }
+
+    /// One I/O round over the due sockets: one `recv` per armed
+    /// receive, a send loop per parked send.
+    fn run_due(&mut self, out: &mut Vec<Completion>) {
+        let mut due = std::mem::take(&mut self.due);
+        for socket in due.drain(..) {
+            let Some(w) = self.watches.get_mut(&socket) else {
+                continue;
+            };
+            w.due = false;
+            let mut ended = false;
+            if let (true, Some((mut node, offset))) = (w.readable, w.recv.take()) {
+                let buf = &mut node.buffer_mut()[offset..];
+                let result = match self.tcp.recv(SocketId(socket), buf) {
+                    Ok(RecvOutcome::WouldBlock) => None,
+                    Ok(RecvOutcome::Data(n)) => Some(Ok(n)),
+                    Ok(RecvOutcome::Eof) => Some(Ok(0)),
+                    Err(e) => Some(Err(e)),
+                };
+                match result {
+                    None => {
+                        w.readable = false;
+                        w.recv = Some((node, offset));
+                    }
+                    Some(result) => {
+                        ended = !matches!(result, Ok(n) if n > 0);
+                        out.push(Completion::Recv {
+                            socket,
+                            node,
+                            offset,
+                            result,
+                        });
+                    }
+                }
+            }
+            if let (true, Some((node, mut pos))) = (w.writable, w.send.take()) {
+                match send_out(&self.tcp, socket, &node, &mut pos) {
+                    Ok(false) => {
+                        w.writable = false;
+                        w.send = Some((node, pos));
+                    }
+                    done => {
+                        let result = done.map(drop);
+                        ended |= result.is_err();
+                        out.push(Completion::Sent {
+                            socket,
+                            node,
+                            result,
+                        });
+                    }
+                }
+            }
+            if ended && w.recv.is_none() && w.send.is_none() {
+                self.unwatch(socket);
+            }
+        }
+        self.due = due; // keep the allocation
+    }
+}
+
+impl CompletionRing for EpollRing {
+    fn accept(&mut self, listener: ListenerId) -> Result<(), NetError> {
+        self.tcp.table.syscall()?;
+        if self.listeners.contains_key(&listener.0) {
             return Ok(());
         }
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
+        let l = self.tcp.table.listener(listener)?;
+        let cookie = listener.0 | LISTENER_TAG;
         ffi::epoll_add(
             &self.epfd,
             l.as_raw_fd(),
             ffi::EPOLLIN | ffi::EPOLLET,
-            listener.0 | LISTENER_TAG,
+            cookie,
         )?;
-        self.watched_listeners.insert(listener.0, l);
+        let watch = ListenWatch {
+            listener: l,
+            ready: true,
+        };
+        self.listeners.insert(listener.0, watch);
         Ok(())
     }
 
-    fn unwatch_listener(&mut self, listener: ListenerId) {
-        if let Some(l) = self.watched_listeners.remove(&listener.0) {
-            ffi::epoll_del(&self.epfd, l.as_raw_fd());
+    fn cancel_accept(&mut self, listener: ListenerId) {
+        if let Some(l) = self.listeners.remove(&listener.0) {
+            ffi::epoll_del(&self.epfd, l.listener.as_raw_fd());
         }
     }
 
-    fn wait_ready(
+    fn recv_into(
         &mut self,
-        events: &mut [ReadyEvent],
+        socket: SocketId,
+        node: Node,
+        offset: usize,
+    ) -> Result<(), (NetError, Node)> {
+        if let Err(e) = untrusted() {
+            return Err((e, node));
+        }
+        let armed = self
+            .watches
+            .get(&socket.0)
+            .is_some_and(|w| w.recv.is_some());
+        if armed || offset >= node.arena().payload_size() {
+            return Err((NetError::WouldBlock, node));
+        }
+        if let Err(e) = self.watch(socket.0, READ_MASK) {
+            return Err((e, node));
+        }
+        let w = self.watches.get_mut(&socket.0).expect("just watched");
+        w.recv = Some((node, offset));
+        self.mark_due(socket.0);
+        Ok(())
+    }
+
+    fn cancel_recv(&mut self, socket: SocketId) {
+        let Some(w) = self.watches.get_mut(&socket.0) else {
+            return;
+        };
+        if let Some((node, offset)) = w.recv.take() {
+            self.posted.push(Completion::Recv {
+                socket: socket.0,
+                node,
+                offset,
+                result: Err(NetError::Canceled),
+            });
+        }
+        if w.send.is_none() {
+            // The consumer stopped reading: stop hearing about the socket.
+            self.unwatch(socket.0);
+        }
+    }
+
+    fn send_node(
+        &mut self,
+        socket: SocketId,
+        node: Node,
+        offset: usize,
+    ) -> Result<(), (NetError, Node)> {
+        let parked = self
+            .watches
+            .get(&socket.0)
+            .is_some_and(|w| w.send.is_some());
+        if parked || offset >= node.len() {
+            return Err((NetError::WouldBlock, node));
+        }
+        let mut pos = offset;
+        match send_out(&self.tcp, socket.0, &node, &mut pos) {
+            Err(e) => Err((e, node)),
+            Ok(true) => {
+                let (socket, result) = (socket.0, Ok(()));
+                self.posted.push(Completion::Sent {
+                    socket,
+                    node,
+                    result,
+                });
+                Ok(())
+            }
+            Ok(false) => {
+                // Short write: the tail waits for EPOLLOUT. Adding the
+                // interest to an already-writable fd queues an edge, so
+                // space freed since the write is not missed.
+                if let Err(e) = self.watch(socket.0, WRITE_MASK) {
+                    return Err((e, node));
+                }
+                let w = self.watches.get_mut(&socket.0).expect("just watched");
+                w.writable = false;
+                w.send = Some((node, pos));
+                Ok(())
+            }
+        }
+    }
+
+    fn reap(
+        &mut self,
+        out: &mut Vec<Completion>,
         timeout: Option<Duration>,
     ) -> Result<usize, NetError> {
-        self.inner.syscall()?;
+        self.tcp.table.syscall()?;
+        let before = out.len();
+        out.append(&mut self.posted);
+        let busy =
+            out.len() > before || !self.due.is_empty() || self.listeners.values().any(|l| l.ready);
+        let wait = if busy { Some(Duration::ZERO) } else { timeout };
         let mut raw = [ffi::EpollEvent::zeroed(); WAIT_BATCH];
-        let cap = raw.len().min(events.len());
-        if cap == 0 {
-            return Ok(0);
-        }
-        let n = ffi::epoll_wait_into(&self.epfd, &mut raw[..cap], timeout)?;
-        let mut out = 0;
+        let n = ffi::epoll_wait_into(&self.epfd, &mut raw, wait)?;
         for ev in &raw[..n] {
-            let (mask, data) = (ev.events, ev.data);
-            if data == WAKER_COOKIE {
-                ffi::eventfd_drain(&self.waker.fd);
-                continue;
-            }
-            events[out] = ReadyEvent {
-                id: data & !LISTENER_TAG,
-                listener: data & LISTENER_TAG != 0,
-                readable: mask & (ffi::EPOLLIN | ffi::EPOLLRDHUP) != 0,
-                writable: mask & ffi::EPOLLOUT != 0,
-                hup: mask & (ffi::EPOLLHUP | ffi::EPOLLERR) != 0,
-            };
-            out += 1;
+            let (cookie, mask) = (ev.data, ev.events);
+            self.on_event(cookie, mask);
         }
         // Re-arm after every wait: the next notify while we are away
         // from `epoll_wait` leaves a pending signal and the next wait
         // returns immediately — never a lost wake-up.
         self.waker.armed.store(true, Ordering::Release);
-        Ok(out)
+        self.accept_ready(out);
+        self.run_due(out);
+        Ok(out.len() - before)
     }
 
     fn waker(&self) -> Arc<dyn HubWaker> {
         self.waker.clone()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sgx_sim::{CostModel, Platform};
-    use std::time::Instant;
-
-    fn net() -> EpollBackend {
-        EpollBackend::new(
-            Platform::builder()
-                .cost_model(CostModel::zero())
-                .build()
-                .costs(),
-        )
-    }
-
-    fn accept_one(n: &EpollBackend, l: ListenerId) -> SocketId {
-        loop {
-            if let Some(s) = n.accept(l).unwrap() {
-                break s;
-            }
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn readiness_reports_data_arrival() {
-        let n = net();
-        let l = n.listen(1).unwrap();
-        let c = n.connect(1).unwrap();
-        let s = accept_one(&n, l);
-
-        let mut set = n.ready_set().expect("epoll backend has readiness");
-        set.watch(s, Interest::Read).unwrap();
-
-        let mut events = [ReadyEvent {
-            id: 0,
-            listener: false,
-            readable: false,
-            writable: false,
-            hup: false,
-        }; 8];
-        // Nothing sent yet: drain any spurious initial state first.
-        while set
-            .wait_ready(&mut events, Some(Duration::from_millis(1)))
-            .unwrap()
-            > 0
-        {}
-
-        assert!(n.send(c, b"ping").unwrap() > 0);
-        let got = set
-            .wait_ready(&mut events, Some(Duration::from_secs(2)))
-            .unwrap();
-        assert!(got >= 1, "edge for arrived data");
-        assert_eq!(events[0].id, s.0);
-        assert!(events[0].readable);
-
-        let mut buf = [0u8; 8];
-        assert_eq!(n.recv(s, &mut buf).unwrap(), RecvOutcome::Data(4));
-    }
-
-    #[test]
-    fn listener_readiness_fires_on_pending_connection() {
-        let n = net();
-        let l = n.listen(2).unwrap();
-        let mut set = n.ready_set().unwrap();
-        set.watch_listener(l).unwrap();
-
-        let _c = n.connect(2).unwrap();
-        let mut events = [ReadyEvent {
-            id: 0,
-            listener: false,
-            readable: false,
-            writable: false,
-            hup: false,
-        }; 8];
-        let got = set
-            .wait_ready(&mut events, Some(Duration::from_secs(2)))
-            .unwrap();
-        assert!(got >= 1);
-        assert!(events[0].listener);
-        assert_eq!(events[0].id, l.0);
-        assert!(n.accept(l).unwrap().is_some());
-    }
-
-    #[test]
-    fn waker_interrupts_a_blocking_wait() {
-        let n = net();
-        let mut set = n.ready_set().unwrap();
-        let waker = set.waker();
-        let start = Instant::now();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-        });
-        let mut events = [ReadyEvent {
-            id: 0,
-            listener: false,
-            readable: false,
-            writable: false,
-            hup: false,
-        }; 4];
-        let got = set
-            .wait_ready(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        t.join().unwrap();
-        assert_eq!(got, 0, "wake produces no socket events");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "woken well before the timeout"
-        );
-        // Second wake while awake: armed again after the wait, so the
-        // signal lands and the next wait returns immediately.
-        set.waker().wake();
-        let start = Instant::now();
-        set.wait_ready(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn hup_reported_after_peer_close() {
-        let n = net();
-        let l = n.listen(3).unwrap();
-        let c = n.connect(3).unwrap();
-        let s = accept_one(&n, l);
-        let mut set = n.ready_set().unwrap();
-        set.watch(s, Interest::Read).unwrap();
-        n.close(c).unwrap();
-        let mut events = [ReadyEvent {
-            id: 0,
-            listener: false,
-            readable: false,
-            writable: false,
-            hup: false,
-        }; 8];
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let got = set
-                .wait_ready(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            if events[..got].iter().any(|e| e.id == s.0 && e.readable) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "no readiness after peer close");
-        }
-        let mut buf = [0u8; 8];
-        assert_eq!(n.recv(s, &mut buf).unwrap(), RecvOutcome::Eof);
     }
 }

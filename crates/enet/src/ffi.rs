@@ -18,6 +18,7 @@
 //!   past the buffer.
 //! - `read`/`write` on the eventfd use an 8-byte stack buffer, the size
 //!   `eventfd(2)` mandates.
+//! - `setsockopt` reads a stack-local `i32`; `shutdown` takes only an fd.
 //! - `EINTR` never escapes: waits report it as "zero events", reads and
 //!   writes retry.
 
@@ -60,6 +61,8 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 
+const SHUT_RDWR: i32 = 2;
+
 const SOL_SOCKET: i32 = 1;
 const SO_SNDBUF: i32 = 7;
 const SO_RCVBUF: i32 = 8;
@@ -73,6 +76,7 @@ extern "C" {
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
+    fn shutdown(fd: i32, how: i32) -> i32;
 }
 
 /// A file descriptor this wrapper owns and closes exactly once.
@@ -214,6 +218,14 @@ pub fn set_buf_sizes(fd: RawFd, bytes: usize) -> io::Result<()> {
         cvt(ret)?;
     }
     Ok(())
+}
+
+/// Shut a listening socket down: the kernel takes it out of the LISTEN
+/// state and wakes every waiter, so accepts pending in any ring fail
+/// (`EINVAL`) even while a ring still holds the fd open. Errors (an
+/// already-closed socket) are ignored.
+pub fn shutdown_listener(fd: RawFd) {
+    unsafe { shutdown(fd, SHUT_RDWR) };
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //!
 //! * [`Opener`] — creates server or client sockets;
 //! * [`Accepter`] — accepts connections on watched server sockets;
-//! * [`Reader`] — polls subscribed sockets, forwarding bytes to per-user
-//!   mboxes (including the XMPP batch pattern);
+//! * [`Reader`] — keeps one receive in flight per subscribed socket,
+//!   forwarding bytes to per-user mboxes (including the XMPP batch
+//!   pattern);
 //! * [`Writer`] — transmits, preserving order under partial writes;
 //! * [`Closer`] — closes sockets.
 //!
@@ -18,16 +19,18 @@
 //! ([`data_frame_into_write`]) — an echo path moves bytes from socket to
 //! socket with zero heap allocations and zero copies beyond the kernel's.
 //!
-//! Four interchangeable [`NetBackend`]s are provided: [`SimNet`], an
+//! READER, WRITER and ACCEPTER drive all their I/O through one
+//! facility, the per-actor [`CompletionRing`]: they submit receives,
+//! sends and accepts with their buffers, and reap finished operations.
+//! Four interchangeable [`NetBackend`]s provide it: [`SimNet`], an
 //! in-process TCP substrate with a syscall cost model (used by the paper
 //! reproduction benchmarks, where hundreds of emulated clients run on one
-//! machine); [`TcpLoopback`], real `std::net` sockets polled per pass;
-//! and on Linux [`EpollBackend`], real sockets with edge-triggered
-//! `epoll` readiness ([`ReadySet`]) so READER/WRITER park in
-//! `epoll_wait` instead of polling, plus [`UringBackend`], real sockets
-//! driven by an io_uring completion ring ([`CompletionRing`]) so a whole
-//! batch of receives, sends, and accepts costs one `io_uring_enter`.
-//! [`auto_backend`] picks the best of the real-socket three at runtime.
+//! machine), and [`TcpLoopback`], real `std::net` sockets, both with a
+//! polled ring; on Linux [`EpollBackend`], the same real sockets with a
+//! ring that performs the I/O on edge-triggered `epoll` readiness, and
+//! [`UringBackend`], whose io_uring ring makes a whole batch of receives,
+//! sends, and accepts cost one `io_uring_enter`. [`auto_backend`] picks
+//! the best of the real-socket three at runtime.
 //!
 //! ## Example: an echo flow without actors
 //!
@@ -59,6 +62,7 @@ mod epoll;
 mod ffi;
 pub mod ioutil;
 mod msg;
+mod polled;
 mod sim;
 mod tcp;
 #[cfg(target_os = "linux")]
@@ -71,8 +75,7 @@ pub use actors::{
     Writer,
 };
 pub use backend::{
-    Completion, CompletionRing, Interest, ListenerId, NetBackend, NetError, ReadyEvent, ReadySet,
-    RecvOutcome, SocketId,
+    Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
 };
 pub use dir::{MboxDirectory, MboxRef};
 #[cfg(target_os = "linux")]

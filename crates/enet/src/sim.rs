@@ -14,7 +14,8 @@ use std::sync::Arc;
 use sgx_sim::sync::Mutex;
 use sgx_sim::{current_domain, CostHandle, FaultPlan};
 
-use crate::backend::{ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
+use crate::backend::{CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
+use crate::polled::PolledRing;
 
 /// Default per-socket receive buffer (matches a typical kernel default).
 pub const DEFAULT_SOCKET_BUFFER: usize = 64 * 1024;
@@ -288,6 +289,10 @@ impl NetBackend for SimNet {
             .lock()
             .retain(|_, &mut id| id != listener.0);
         Ok(())
+    }
+
+    fn completion_ring(&self) -> Box<dyn CompletionRing> {
+        Box::new(PolledRing::new(self.clone()))
     }
 }
 

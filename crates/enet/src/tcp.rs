@@ -1,9 +1,12 @@
-//! A real-socket backend over `std::net` on localhost.
+//! A real-socket backend over `std::net` on localhost, and the socket
+//! table every real-socket backend shares.
 //!
 //! Functionally interchangeable with [`crate::SimNet`]; useful for
 //! demonstrating that the system actors drive genuine kernel sockets.
 //! Benchmarks use the simulated backend instead, for determinism and
-//! scale.
+//! scale. `EpollBackend` and `UringBackend` hold a [`TcpLoopback`] for
+//! their listen/connect/accept/send/recv/close calls and add only their
+//! completion ring; `TcpLoopback` itself hands out a polled ring.
 //!
 //! # Locking discipline
 //!
@@ -24,8 +27,9 @@ use std::sync::Arc;
 use sgx_sim::sync::Mutex;
 use sgx_sim::{current_domain, CostHandle};
 
-use crate::backend::{ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
+use crate::backend::{CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
 use crate::ioutil::retry_intr;
+use crate::polled::PolledRing;
 
 /// Real non-blocking TCP sockets bound to 127.0.0.1.
 ///
@@ -34,11 +38,12 @@ use crate::ioutil::retry_intr;
 /// kept internally, so tests never collide with other processes.
 #[derive(Debug, Clone)]
 pub struct TcpLoopback {
-    inner: Arc<TcpInner>,
+    pub(crate) table: Arc<SocketTable>,
 }
 
+/// The id→socket table behind every real-socket backend.
 #[derive(Debug)]
-struct TcpInner {
+pub(crate) struct SocketTable {
     costs: CostHandle,
     next_id: AtomicU64,
     /// id -> (listener, logical port) — the port rides along so
@@ -46,48 +51,111 @@ struct TcpInner {
     listeners: Mutex<HashMap<u64, (Arc<TcpListener>, u16)>>,
     ports: Mutex<HashMap<u16, u16>>, // logical port -> OS port
     sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    /// Forced kernel buffer size for new sockets (tests use a small one
+    /// to provoke short writes; Linux only).
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    buf_bytes: Option<usize>,
 }
 
-impl TcpLoopback {
-    /// A fresh backend charging syscalls through `costs`.
-    pub fn new(costs: CostHandle) -> Self {
-        TcpLoopback {
-            inner: Arc::new(TcpInner {
-                costs,
-                next_id: AtomicU64::new(1),
-                listeners: Mutex::new(HashMap::new()),
-                ports: Mutex::new(HashMap::new()),
-                sockets: Mutex::new(HashMap::new()),
-            }),
-        }
-    }
-
-    fn syscall(&self) -> Result<(), NetError> {
+impl SocketTable {
+    /// Charge one syscall, refusing enclave callers.
+    pub(crate) fn syscall(&self) -> Result<(), NetError> {
         if current_domain().is_trusted() {
             return Err(NetError::TrustedDomain);
         }
-        self.inner.costs.charge_syscall();
+        self.costs.charge_syscall();
         Ok(())
     }
 
-    fn fresh_id(&self) -> u64 {
-        self.inner.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
-        self.inner
-            .sockets
+    pub(crate) fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
+        self.sockets
             .lock()
             .get(&id.0)
             .cloned()
             .ok_or(NetError::BadSocket)
     }
+
+    pub(crate) fn listener(&self, id: ListenerId) -> Result<Arc<TcpListener>, NetError> {
+        self.listeners
+            .lock()
+            .get(&id.0)
+            .map(|(l, _)| l.clone())
+            .ok_or(NetError::BadSocket)
+    }
+
+    /// Make `stream` nonblocking and enter it under a fresh id.
+    pub(crate) fn adopt(&self, stream: TcpStream) -> Result<u64, NetError> {
+        stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
+        #[cfg(target_os = "linux")]
+        if let Some(bytes) = self.buf_bytes {
+            use std::os::unix::io::AsRawFd;
+            crate::ffi::set_buf_sizes(stream.as_raw_fd(), bytes)?;
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.sockets.lock().insert(id, Arc::new(stream));
+        Ok(id)
+    }
 }
+
+impl TcpLoopback {
+    /// A fresh backend charging syscalls through `costs`.
+    pub fn new(costs: CostHandle) -> Self {
+        Self::with_buf_bytes(costs, None)
+    }
+
+    /// A backend whose sockets get roughly `buf_bytes` of kernel send
+    /// and receive buffer (`None`: the kernel default).
+    pub(crate) fn with_buf_bytes(costs: CostHandle, buf_bytes: Option<usize>) -> Self {
+        TcpLoopback {
+            table: Arc::new(SocketTable {
+                costs,
+                next_id: AtomicU64::new(1),
+                listeners: Mutex::new(HashMap::new()),
+                ports: Mutex::new(HashMap::new()),
+                sockets: Mutex::new(HashMap::new()),
+                buf_bytes,
+            }),
+        }
+    }
+}
+
+/// Implement the socket calls of [`NetBackend`] by delegating to the
+/// backend's `tcp: TcpLoopback` field; the caller adds
+/// `completion_ring`.
+macro_rules! delegate_sockets {
+    () => {
+        fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
+            self.tcp.listen(port)
+        }
+        fn connect(&self, port: u16) -> Result<SocketId, NetError> {
+            self.tcp.connect(port)
+        }
+        fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
+            self.tcp.accept(listener)
+        }
+        fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
+            self.tcp.send(socket, data)
+        }
+        fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
+            self.tcp.recv(socket, buf)
+        }
+        fn close(&self, socket: SocketId) -> Result<(), NetError> {
+            self.tcp.close(socket)
+        }
+        fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
+            self.tcp.close_listener(listener)
+        }
+    };
+}
+#[cfg(target_os = "linux")]
+pub(crate) use delegate_sockets;
 
 impl NetBackend for TcpLoopback {
     fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
-        self.syscall()?;
-        let mut ports = self.inner.ports.lock();
+        let t = &self.table;
+        t.syscall()?;
+        let mut ports = t.ports.lock();
         if ports.contains_key(&port) {
             return Err(NetError::PortInUse(port));
         }
@@ -95,56 +163,37 @@ impl NetBackend for TcpLoopback {
         listener.set_nonblocking(true)?;
         let os_port = listener.local_addr()?.port();
         ports.insert(port, os_port);
-        let id = self.fresh_id();
-        self.inner
-            .listeners
-            .lock()
-            .insert(id, (Arc::new(listener), port));
+        let id = t.next_id.fetch_add(1, Ordering::Relaxed);
+        t.listeners.lock().insert(id, (Arc::new(listener), port));
         Ok(ListenerId(id))
     }
 
     fn connect(&self, port: u16) -> Result<SocketId, NetError> {
-        self.syscall()?;
-        let os_port = *self
-            .inner
+        let t = &self.table;
+        t.syscall()?;
+        let os_port = *t
             .ports
             .lock()
             .get(&port)
             .ok_or(NetError::ConnectionRefused(port))?;
         let stream = retry_intr(|| TcpStream::connect((Ipv4Addr::LOCALHOST, os_port)))
             .map_err(|_| NetError::ConnectionRefused(port))?;
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        let id = self.fresh_id();
-        self.inner.sockets.lock().insert(id, Arc::new(stream));
-        Ok(SocketId(id))
+        t.adopt(stream).map(SocketId)
     }
 
     fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
-        self.syscall()?;
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
+        self.table.syscall()?;
+        let l = self.table.listener(listener)?;
         match retry_intr(|| l.accept()) {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(true)?;
-                stream.set_nodelay(true)?;
-                let id = self.fresh_id();
-                self.inner.sockets.lock().insert(id, Arc::new(stream));
-                Ok(Some(SocketId(id)))
-            }
+            Ok((stream, _)) => self.table.adopt(stream).map(|id| Some(SocketId(id))),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
 
     fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
-        self.syscall()?;
-        let s = self.socket(socket)?;
+        self.table.syscall()?;
+        let s = self.table.socket(socket)?;
         match retry_intr(|| (&*s).write(data)) {
             Ok(n) => Ok(n),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
@@ -153,8 +202,8 @@ impl NetBackend for TcpLoopback {
     }
 
     fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
-        self.syscall()?;
-        let s = self.socket(socket)?;
+        self.table.syscall()?;
+        let s = self.table.socket(socket)?;
         match retry_intr(|| (&*s).read(buf)) {
             Ok(0) => Ok(RecvOutcome::Eof),
             Ok(n) => Ok(RecvOutcome::Data(n)),
@@ -164,26 +213,43 @@ impl NetBackend for TcpLoopback {
     }
 
     fn close(&self, socket: SocketId) -> Result<(), NetError> {
-        self.syscall()?;
-        self.inner
+        self.table.syscall()?;
+        let stream = self
+            .table
             .sockets
             .lock()
             .remove(&socket.0)
-            .map(drop)
-            .ok_or(NetError::BadSocket)
+            .ok_or(NetError::BadSocket)?;
+        // Ring operations in flight hold their own Arc to this stream,
+        // keeping the fd alive past this call; shutting the socket down
+        // makes those operations complete (EOF / EPIPE) promptly instead
+        // of pinning a half-dead connection.
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        Ok(())
     }
 
     fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
-        self.syscall()?;
+        self.table.syscall()?;
         let (_listener, logical_port) = self
-            .inner
+            .table
             .listeners
             .lock()
             .remove(&listener.0)
             .ok_or(NetError::BadSocket)?;
+        // Rings may still hold the listener open; shutting it down ends
+        // their accept streams (`AcceptFailed`).
+        #[cfg(target_os = "linux")]
+        {
+            use std::os::unix::io::AsRawFd;
+            crate::ffi::shutdown_listener(_listener.as_raw_fd());
+        }
         // Free the logical port mapping so the port can be re-listened.
-        self.inner.ports.lock().remove(&logical_port);
+        self.table.ports.lock().remove(&logical_port);
         Ok(())
+    }
+
+    fn completion_ring(&self) -> Box<dyn CompletionRing> {
+        Box::new(PolledRing::new(self.clone()))
     }
 }
 
@@ -318,11 +384,11 @@ mod tests {
         let l = n.listen(7100).unwrap();
         let c = n.connect(7100).unwrap();
         let s = accept_one(&n, l);
-        let held = n.socket(c).unwrap();
+        let held = n.table.socket(c).unwrap();
         n.close(c).unwrap();
         assert!(matches!(n.send(c, b"x"), Err(NetError::BadSocket)));
-        // The held Arc still points at a live fd.
-        assert!((&*held).write(b"x").is_ok());
+        // The held Arc still points at a live (shut down) fd.
+        assert!(held.local_addr().is_ok());
         drop(held);
         n.close(s).unwrap();
         n.close_listener(l).unwrap();

@@ -1,7 +1,7 @@
 //! The io_uring completion backend — real loopback sockets driven by a
 //! submission queue instead of per-event syscalls.
 //!
-//! [`crate::EpollBackend`] already amortised *wakeups* (one `epoll_wait`
+//! [`crate::EpollBackend`]'s ring amortises *wakeups* (one `epoll_wait`
 //! covers many ready sockets), but every ready socket still costs its
 //! own `recvfrom`/`sendto`/`accept4`. This backend removes those too:
 //! consumers submit the operations themselves — reads aimed directly at
@@ -11,10 +11,10 @@
 //! costs **zero** syscalls.
 //!
 //! The synchronous [`NetBackend`] surface (listen / connect / polled
-//! send/recv / close) is identical to the epoll backend's so the
-//! conformance suite runs unmodified; only the multiplexing layer
-//! differs: [`NetBackend::completion_ring`] returns a [`UringRing`]
-//! instead of a `ReadySet`.
+//! send/recv / close) is [`crate::TcpLoopback`]'s socket table; this
+//! module adds only [`UringRing`], the kernel-driven
+//! [`NetBackend::completion_ring`]. Where the kernel refuses a ring at
+//! run time, consumers get the polled ring instead.
 //!
 //! # Buffer ownership
 //!
@@ -23,9 +23,9 @@
 //! memory is stable — `Box<[UnsafeCell<u8>]>` never moves) and the
 //! `Arc<TcpStream>`/`Arc<TcpListener>` handle pins the fd against
 //! close-and-reuse. That is the entire [`crate::uring_ffi::SqeBuf`]
-//! contract. Closing a socket additionally `shutdown(2)`s it so pinned
-//! in-flight operations complete (EOF / `EPIPE`) instead of idling
-//! forever on a half-dead fd.
+//! contract. Closing a socket (or listener) additionally `shutdown(2)`s
+//! it so pinned in-flight operations complete (EOF / `EPIPE` /
+//! `EINVAL`) instead of idling forever on a half-dead fd.
 //!
 //! # Fixed buffers
 //!
@@ -37,25 +37,24 @@
 //! [`IORING_OP_READ_FIXED`]: crate::uring_ffi::IORING_OP_READ_FIXED
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use eactors::arena::{Arena, Node};
 use eactors::obs::{Counter, Log2Hist, MetricsRegistry};
 use eactors::wake::HubWaker;
-use sgx_sim::sync::Mutex;
-use sgx_sim::{current_domain, CostHandle};
+use sgx_sim::CostHandle;
 
 use crate::backend::{
     Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
 };
 use crate::epoll::EventfdWaker;
 use crate::ffi;
-use crate::ioutil::retry_intr;
+use crate::polled::PolledRing;
+use crate::tcp::{delegate_sockets, SocketTable, TcpLoopback};
 use crate::uring_ffi::{self, IoUringCqe, IoUringSqe, Ring, SqeBuf, IORING_CQE_F_MORE};
 
 /// Default SQ depth per ring. 256 slots cover the deepest consumer
@@ -82,61 +81,24 @@ const ECONNABORTED: i32 = 103;
 const ECANCELED: i32 = 125;
 
 fn os_err(negated: i32) -> NetError {
-    NetError::Io(std::io::Error::from_raw_os_error(-negated))
+    match -negated {
+        ECANCELED => NetError::Canceled,
+        errno => NetError::Io(std::io::Error::from_raw_os_error(errno)),
+    }
 }
 
 /// Real loopback TCP with an io_uring completion engine.
 ///
 /// Construction always succeeds; ring availability is only decided when
 /// a consumer asks for its [`NetBackend::completion_ring`] (and the
-/// [`UringBackend::probe`] lets callers decide up front).
+/// [`UringBackend::probe`] lets callers decide up front). A kernel that
+/// refuses the ring at that point gets a polled ring instead.
 #[derive(Debug, Clone)]
 pub struct UringBackend {
-    inner: Arc<UringInner>,
-}
-
-#[derive(Debug)]
-struct UringInner {
-    costs: CostHandle,
-    next_id: AtomicU64,
-    listeners: Mutex<HashMap<u64, (Arc<TcpListener>, u16)>>,
-    ports: Mutex<HashMap<u16, u16>>, // logical port -> OS port
-    sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
-    /// Forced kernel buffer size for new sockets (tests use a small one
-    /// to provoke short writes the ring must resume).
-    buf_bytes: Option<usize>,
+    tcp: TcpLoopback,
     /// SQ depth for rings created from this backend (tests shrink it to
     /// force flush-and-retry submission).
     ring_entries: u32,
-}
-
-impl UringInner {
-    fn syscall(&self) -> Result<(), NetError> {
-        if current_domain().is_trusted() {
-            return Err(NetError::TrustedDomain);
-        }
-        self.costs.charge_syscall();
-        Ok(())
-    }
-
-    fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
-        self.sockets
-            .lock()
-            .get(&id.0)
-            .cloned()
-            .ok_or(NetError::BadSocket)
-    }
-
-    fn adopt(&self, stream: TcpStream) -> Result<u64, NetError> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        if let Some(bytes) = self.buf_bytes {
-            ffi::set_buf_sizes(stream.as_raw_fd(), bytes)?;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sockets.lock().insert(id, Arc::new(stream));
-        Ok(id)
-    }
 }
 
 impl UringBackend {
@@ -159,15 +121,8 @@ impl UringBackend {
 
     fn build(costs: CostHandle, buf_bytes: Option<usize>, ring_entries: u32) -> Self {
         UringBackend {
-            inner: Arc::new(UringInner {
-                costs,
-                next_id: AtomicU64::new(1),
-                listeners: Mutex::new(HashMap::new()),
-                ports: Mutex::new(HashMap::new()),
-                sockets: Mutex::new(HashMap::new()),
-                buf_bytes,
-                ring_entries,
-            }),
+            tcp: TcpLoopback::with_buf_bytes(costs, buf_bytes),
+            ring_entries,
         }
     }
 
@@ -183,106 +138,12 @@ impl UringBackend {
 }
 
 impl NetBackend for UringBackend {
-    fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
-        self.inner.syscall()?;
-        let mut ports = self.inner.ports.lock();
-        if ports.contains_key(&port) {
-            return Err(NetError::PortInUse(port));
-        }
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
-        let os_port = listener.local_addr()?.port();
-        ports.insert(port, os_port);
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .listeners
-            .lock()
-            .insert(id, (Arc::new(listener), port));
-        Ok(ListenerId(id))
-    }
+    delegate_sockets!();
 
-    fn connect(&self, port: u16) -> Result<SocketId, NetError> {
-        self.inner.syscall()?;
-        let os_port = *self
-            .inner
-            .ports
-            .lock()
-            .get(&port)
-            .ok_or(NetError::ConnectionRefused(port))?;
-        let stream = retry_intr(|| TcpStream::connect((Ipv4Addr::LOCALHOST, os_port)))
-            .map_err(|_| NetError::ConnectionRefused(port))?;
-        self.inner.adopt(stream).map(SocketId)
-    }
-
-    fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
-        self.inner.syscall()?;
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
-        match retry_intr(|| l.accept()) {
-            Ok((stream, _)) => Ok(Some(SocketId(self.inner.adopt(stream)?))),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
-        self.inner.syscall()?;
-        let stream = self.inner.socket(socket)?;
-        match retry_intr(|| (&*stream).write(data)) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
-        self.inner.syscall()?;
-        let stream = self.inner.socket(socket)?;
-        match retry_intr(|| (&*stream).read(buf)) {
-            Ok(0) => Ok(RecvOutcome::Eof),
-            Ok(n) => Ok(RecvOutcome::Data(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(RecvOutcome::WouldBlock),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn close(&self, socket: SocketId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let stream = self
-            .inner
-            .sockets
-            .lock()
-            .remove(&socket.0)
-            .ok_or(NetError::BadSocket)?;
-        // In-flight ring submissions hold their own Arc to this stream,
-        // keeping the fd alive past this call; shutting the socket down
-        // makes those operations complete (EOF / EPIPE) promptly instead
-        // of pinning a half-dead connection until cancellation.
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        Ok(())
-    }
-
-    fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let (_, port) = self
-            .inner
-            .listeners
-            .lock()
-            .remove(&listener.0)
-            .ok_or(NetError::BadSocket)?;
-        self.inner.ports.lock().remove(&port);
-        Ok(())
-    }
-
-    fn completion_ring(&self) -> Option<Box<dyn CompletionRing>> {
-        match UringRing::new(self.inner.clone()) {
-            Ok(ring) => Some(Box::new(ring)),
-            Err(_) => None,
+    fn completion_ring(&self) -> Box<dyn CompletionRing> {
+        match UringRing::new(self.tcp.table.clone(), self.ring_entries) {
+            Ok(ring) => Box::new(ring),
+            Err(_) => Box::new(PolledRing::new(self.tcp.clone())),
         }
     }
 }
@@ -334,7 +195,7 @@ enum FixedBufs {
 /// One consumer's io_uring instance (see module docs).
 #[derive(Debug)]
 pub(crate) struct UringRing {
-    inner: Arc<UringInner>,
+    inner: Arc<SocketTable>,
     ring: Ring,
     waker: Arc<EventfdWaker>,
     recvs: HashMap<u64, InflightRecv>,
@@ -352,8 +213,8 @@ pub(crate) struct UringRing {
 }
 
 impl UringRing {
-    fn new(inner: Arc<UringInner>) -> std::io::Result<Self> {
-        let mut ring = Ring::new(inner.ring_entries)?;
+    fn new(inner: Arc<SocketTable>, entries: u32) -> std::io::Result<Self> {
+        let mut ring = Ring::new(entries)?;
         let waker = Arc::new(EventfdWaker::create()?);
         // Arm the wake watch up front; it is flushed by the first enter.
         // Multishot: a signal posts a CQE without consuming the watch.
@@ -629,13 +490,7 @@ impl CompletionRing for UringRing {
             watch.cancelled = false; // re-accept before the cancel landed
             return Ok(());
         }
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
+        let l = self.inner.listener(listener)?;
         self.accepts.insert(
             listener.0,
             AcceptWatch {

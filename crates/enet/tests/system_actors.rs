@@ -8,8 +8,8 @@ use eactors::actor::Actor;
 use eactors::arena::{Arena, Mbox};
 use eactors::prelude::*;
 use enet::{
-    BatchEntries, MboxDirectory, NetBackend, NetMsg, NetPort, RecvOutcome, SimNet, SystemActors,
-    TcpLoopback,
+    data_frame_into_write, BatchEntries, MboxDirectory, NetBackend, NetMsg, NetPort, RecvOutcome,
+    SimNet, SystemActors, TcpLoopback,
 };
 use sgx_sim::{CostModel, Platform};
 
@@ -253,108 +253,134 @@ fn system_actors_work_over_real_tcp_sockets() {
         .join();
 }
 
-/// Full echo loop over the epoll readiness backend: OPENER, ACCEPTER,
-/// READER and WRITER (the latter two as real deployment actors, so
-/// their `ctor` registers the eventfd wakers and the in-`epoll_wait`
-/// parking path is exercised), an enclave-side echo actor flipping
-/// `Data` into `Write` frames, and a kernel-socket client thread.
-#[cfg(target_os = "linux")]
-#[test]
-fn echo_service_over_epoll_readiness_backend() {
-    use enet::{data_frame_into_write, EpollBackend};
-
+/// Every backend, by name, over a fresh platform each.
+fn backends() -> Vec<(&'static str, Platform, Arc<dyn NetBackend>)> {
+    let mut v: Vec<(&'static str, Platform, Arc<dyn NetBackend>)> = Vec::new();
     let p = platform();
-    let epoll = EpollBackend::new(p.costs());
-    let net: Arc<dyn NetBackend> = Arc::new(epoll.clone());
-    let pool = Arena::new("pool", 256, 512);
-    let sys = SystemActors::new(net, pool.clone());
+    v.push(("sim", p.clone(), Arc::new(SimNet::new(p.costs()))));
+    let p = platform();
+    v.push(("tcp", p.clone(), Arc::new(TcpLoopback::new(p.costs()))));
+    #[cfg(target_os = "linux")]
+    {
+        let p = platform();
+        v.push((
+            "epoll",
+            p.clone(),
+            Arc::new(enet::EpollBackend::new(p.costs())),
+        ));
+        match enet::UringBackend::probe() {
+            Ok(()) => {
+                let p = platform();
+                v.push((
+                    "uring",
+                    p.clone(),
+                    Arc::new(enet::UringBackend::new(p.costs())),
+                ));
+            }
+            Err(reason) => eprintln!("skipping uring echo: {reason}"),
+        }
+    }
+    v
+}
 
-    let replies: NetPort = Port::new(Mbox::new(pool, 64));
-    let r = sys.dir.register(replies.mbox().clone());
-    sys.opener_requests.send(&NetMsg::OpenListen {
-        port: 5222,
-        reply: r,
-    });
-
-    let accepter_rq = sys.accepter_requests.clone();
-    let reader_rq = sys.reader_requests.clone();
-    let writer_rq = sys.writer_requests.clone();
-
+/// Full echo loop over every backend: OPENER, ACCEPTER, READER and
+/// WRITER as real deployment actors (so their `ctor` registers the ring
+/// wakers and the parked-reap path is exercised), a driver flipping
+/// `Data` into `Write` frames, and a client thread on the backend's
+/// own socket calls.
+#[test]
+fn echo_service_over_every_backend() {
     const ROUNDS: usize = 50;
-    let epoll2 = epoll.clone();
-    let client: std::sync::Mutex<Option<std::thread::JoinHandle<()>>> = std::sync::Mutex::new(None);
-    let mut echoes = 0usize;
-    let driver = move |ctx: &mut Ctx| {
-        let mut worked = false;
-        while let Some(mut node) = replies.recv_node() {
-            worked = true;
-            let len = node.bytes().len();
-            if data_frame_into_write(&mut node.buffer_mut()[..len]) {
-                echoes += 1;
-                let _ = writer_rq.send_node(node);
-                continue;
-            }
-            match NetMsg::decode_from(node.bytes()) {
-                Some(NetMsg::OpenOk { id, listener: true }) => {
-                    accepter_rq.send(&NetMsg::WatchListener {
-                        listener: id,
-                        reply: r,
-                    });
-                    // Real client on a plain kernel socket, closed-loop:
-                    // each request waits for its echo before the next.
-                    let net = epoll2.clone();
-                    *client.lock().unwrap() = Some(std::thread::spawn(move || {
-                        let c = net.connect(5222).unwrap();
-                        let mut buf = [0u8; 64];
-                        for i in 0..ROUNDS {
-                            let msg = format!("echo-{i}");
-                            while net.send(c, msg.as_bytes()).unwrap() == 0 {
-                                std::thread::yield_now();
-                            }
-                            let mut got = 0;
-                            while got < msg.len() {
-                                match net.recv(c, &mut buf[got..]).unwrap() {
-                                    enet::RecvOutcome::Data(n) => got += n,
-                                    enet::RecvOutcome::WouldBlock => std::thread::yield_now(),
-                                    enet::RecvOutcome::Eof => panic!("premature eof"),
-                                }
-                            }
-                            assert_eq!(&buf[..got], msg.as_bytes());
-                        }
-                    }));
-                }
-                Some(NetMsg::Accepted { socket, .. }) => {
-                    reader_rq.send(&NetMsg::WatchSocket { socket, reply: r });
-                }
-                _ => {}
-            }
-        }
-        if echoes >= ROUNDS {
-            if let Some(t) = client.lock().unwrap().take() {
-                t.join().unwrap();
-            }
-            ctx.shutdown();
-            return Control::Park;
-        }
-        if worked {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
-    };
+    for (name, p, net) in backends() {
+        let pool = Arena::new("pool", 256, 512);
+        let sys = SystemActors::new(net.clone(), pool.clone());
 
-    let mut b = DeploymentBuilder::new();
-    let a1 = b.actor("opener", Placement::Untrusted, sys.opener);
-    let a2 = b.actor("accepter", Placement::Untrusted, sys.accepter);
-    let a3 = b.actor("reader", Placement::Untrusted, sys.reader);
-    let a4 = b.actor("writer", Placement::Untrusted, sys.writer);
-    let a5 = b.actor("driver", Placement::Untrusted, eactors::from_fn(driver));
-    b.worker(&[a1, a2, a5]);
-    b.worker(&[a3]);
-    b.worker(&[a4]);
-    Runtime::start(&p, b.build().expect("valid"))
-        .expect("start")
-        .join();
+        let replies: NetPort = Port::new(Mbox::new(pool, 64));
+        let r = sys.dir.register(replies.mbox().clone());
+        sys.opener_requests.send(&NetMsg::OpenListen {
+            port: 5222,
+            reply: r,
+        });
+
+        let accepter_rq = sys.accepter_requests.clone();
+        let reader_rq = sys.reader_requests.clone();
+        let writer_rq = sys.writer_requests.clone();
+
+        let client: std::sync::Mutex<Option<std::thread::JoinHandle<()>>> =
+            std::sync::Mutex::new(None);
+        let mut echoes = 0usize;
+        let driver = move |ctx: &mut Ctx| {
+            let mut worked = false;
+            while let Some(mut node) = replies.recv_node() {
+                worked = true;
+                let len = node.bytes().len();
+                if data_frame_into_write(&mut node.buffer_mut()[..len]) {
+                    echoes += 1;
+                    let _ = writer_rq.send_node(node);
+                    continue;
+                }
+                match NetMsg::decode_from(node.bytes()) {
+                    Some(NetMsg::OpenOk { id, listener: true }) => {
+                        accepter_rq.send(&NetMsg::WatchListener {
+                            listener: id,
+                            reply: r,
+                        });
+                        // Closed-loop client: each request waits for its
+                        // echo before the next.
+                        let net = net.clone();
+                        *client.lock().unwrap() = Some(std::thread::spawn(move || {
+                            let c = net.connect(5222).unwrap();
+                            let mut buf = [0u8; 64];
+                            for i in 0..ROUNDS {
+                                let msg = format!("echo-{i}");
+                                while net.send(c, msg.as_bytes()).unwrap() == 0 {
+                                    std::thread::yield_now();
+                                }
+                                let mut got = 0;
+                                while got < msg.len() {
+                                    match net.recv(c, &mut buf[got..]).unwrap() {
+                                        RecvOutcome::Data(n) => got += n,
+                                        RecvOutcome::WouldBlock => std::thread::yield_now(),
+                                        RecvOutcome::Eof => panic!("[{name}] premature eof"),
+                                    }
+                                }
+                                assert_eq!(&buf[..got], msg.as_bytes(), "[{name}]");
+                            }
+                        }));
+                    }
+                    Some(NetMsg::Accepted { socket, .. }) => {
+                        reader_rq.send(&NetMsg::WatchSocket { socket, reply: r });
+                    }
+                    _ => {}
+                }
+            }
+            if echoes >= ROUNDS {
+                if let Some(t) = client.lock().unwrap().take() {
+                    t.join().unwrap();
+                }
+                ctx.shutdown();
+                return Control::Park;
+            }
+            if worked {
+                Control::Busy
+            } else {
+                Control::Idle
+            }
+        };
+
+        let mut b = DeploymentBuilder::new();
+        let a1 = b.actor("opener", Placement::Untrusted, sys.opener);
+        let a2 = b.actor("accepter", Placement::Untrusted, sys.accepter);
+        let a3 = b.actor("reader", Placement::Untrusted, sys.reader);
+        let a4 = b.actor("writer", Placement::Untrusted, sys.writer);
+        let a5 = b.actor("driver", Placement::Untrusted, eactors::from_fn(driver));
+        b.worker(&[a1, a2, a5]);
+        b.worker(&[a3]);
+        b.worker(&[a4]);
+        Runtime::start(&p, b.build().expect("valid"))
+            .expect("start")
+            .join();
+    }
 }
 
 #[test]
